@@ -13,11 +13,9 @@ losses.
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass, field, fields
+from itertools import groupby, product
 from typing import Optional
-
-import numpy as np
 
 from .losses import make_loss
 from .maps import rpr_map
@@ -25,6 +23,7 @@ from .retrieval import generate_instance, spectral_init, success
 from .solver import SolverConfig, SolverError, solve
 
 __all__ = (
+    "LOSS_SPECS",
     "SweepConfig",
     "SweepResult",
     "loss_from_spec",
@@ -42,6 +41,18 @@ TRIAL_COLUMNS = (
     "d", "n", "n_over_d", "p_fail", "s", "loss", "params", "trial", "seed",
     "rel_error", "success", "iterations", "termination", "seconds", "error",
 )
+
+REQUIRED = None
+
+# The loss-spec schema, per loss name: every key a spec may carry, with its
+# default (REQUIRED when it must be given), and the label template used in
+# file names and CSV rows.  Any other key is rejected.
+LOSS_SPECS = {
+    "l1": ({}, "l1"),
+    "mcp": ({"lambda": 1.0, "beta": REQUIRED}, "mcp_lam{lambda:g}_beta{beta:g}"),
+    "capped_l1": ({"beta": REQUIRED}, "capped_l1_beta{beta:g}"),
+    "trimmed_l1": ({"K_over_n": REQUIRED}, "trimmed_l1_Kn{K_over_n:g}"),
+}
 
 
 @dataclass
@@ -82,38 +93,48 @@ class SweepResult:
     summary_rows: list  # dicts keyed by SUMMARY_COLUMNS, cell-major order
 
 
+def _spec_params(spec):
+    """Check a loss spec against :data:`LOSS_SPECS`; return its name and
+    every parameter as a float, defaults filled in."""
+    name = spec.get("name") if isinstance(spec, dict) else None
+    if name not in LOSS_SPECS:
+        raise ValueError(f"loss spec {spec!r}: name must be one of {tuple(LOSS_SPECS)}")
+    keys = LOSS_SPECS[name][0]
+    _check_keys(f"loss spec {spec!r}", spec, {"name", *keys},
+                required=[k for k, default in keys.items() if default is REQUIRED])
+    return name, {k: float(spec.get(k, default)) for k, default in keys.items()}
+
+
 def loss_from_spec(spec, n):
-    """Build a catalog loss from a config dict like
+    """Build a catalog loss from a spec like
     ``{"name": "trimmed_l1", "K_over_n": 0.4}``.
 
-    MCP takes ``lambda`` and ``beta``; capped l1 takes ``beta``; trimmed
-    l1 takes ``K_over_n`` which is rounded to a count per cell.
+    MCP takes ``beta`` and optionally ``lambda``; capped l1 takes
+    ``beta``; trimmed l1 takes ``K_over_n``, rounded to a count ``K`` for
+    residual dimension ``n``.  See :data:`LOSS_SPECS`.
     """
-    try:
-        name = spec["name"]
-        if name == "trimmed_l1":
-            K = int(round(float(spec.get("K_over_n", 0.0)) * n))
-            return make_loss(name, n, K=K)
-        if name == "mcp":
-            return make_loss(name, n, lam=float(spec.get("lambda", 1.0)),
-                             beta=float(spec["beta"]))
-        if name == "capped_l1":
-            return make_loss(name, n, beta=float(spec["beta"]))
-        return make_loss(name, n)
-    except KeyError as err:
-        raise ValueError(f"loss spec {spec!r} is missing {err}") from None
+    name, p = _spec_params(spec)
+    if name == "mcp":
+        return make_loss(name, n, lam=p["lambda"], beta=p["beta"])
+    if name == "capped_l1":
+        return make_loss(name, n, beta=p["beta"])
+    if name == "trimmed_l1":
+        return make_loss(name, n, K=int(round(p["K_over_n"] * n)))
+    return make_loss(name, n)
 
 
 def loss_label(spec):
     """Short deterministic label for file names and CSV rows."""
-    name = spec["name"]
-    if name == "mcp":
-        return f"mcp_lam{float(spec.get('lambda', 1.0)):g}_beta{float(spec['beta']):g}"
-    if name == "capped_l1":
-        return f"capped_l1_beta{float(spec['beta']):g}"
-    if name == "trimmed_l1":
-        return f"trimmed_l1_Kn{float(spec.get('K_over_n', 0.0)):g}"
-    return name
+    name, p = _spec_params(spec)
+    return LOSS_SPECS[name][1].format(**p)
+
+
+def _check_keys(what, keys, allowed, required=()):
+    unknown = sorted(set(keys) - set(allowed))
+    missing = sorted(set(required) - set(keys))
+    if unknown or missing:
+        raise ValueError(f"{what}: unknown keys {unknown}, missing keys "
+                         f"{missing} (allowed: {sorted(allowed)})")
 
 
 def _params_json(spec):
@@ -123,21 +144,20 @@ def _params_json(spec):
 def _run_trial(args):
     """One (cell, trial) work item: a fresh instance, a shared initial
     point, one solve per loss.  Returns plain-dict rows (picklable)."""
-    (cell_idx, nd, p_fail, s_val, trial, cfg_dict) = args
-    cfg = cfg_dict
-    d = cfg["d"]
+    (cell_idx, nd, p_fail, s_val, trial, config) = args
+    d = config.d
     n = d * nd
-    seed = cfg["base_seed"] + trial
+    seed = config.base_seed + trial
     inst = generate_instance(
         d, n, p_fail, s_val,
-        outlier_kind=cfg["outlier_kind"],
-        noise_variance=cfg["noise_variance"],
+        outlier_kind=config.outlier_kind,
+        noise_variance=config.noise_variance,
         seed=seed,
     )
     x1 = spectral_init(inst.A, inst.b, seed)
     smooth_map = rpr_map(inst.A, inst.b)
     rows = []
-    for loss_idx, spec in enumerate(cfg["losses"]):
+    for loss_idx, spec in enumerate(config.losses):
         loss = loss_from_spec(spec, n)
         base = {
             "cell_idx": cell_idx, "loss_idx": loss_idx,
@@ -146,7 +166,7 @@ def _run_trial(args):
             "trial": trial, "seed": seed,
         }
         try:
-            record = solve(loss, smooth_map, x1, cfg["solver"])
+            record = solve(loss, smooth_map, x1, config.solver)
             rel, ok = success(record.x_final, inst.x_star)
             base.update(
                 rel_error=rel, success=int(ok),
@@ -181,19 +201,8 @@ def run_sweep(config, workers=None):
     as an unsuccessful trial, and never aborts the sweep.
     """
     workers = resolve_workers(workers)
-    if workers > 1 and config.solver.kappa_fn is not None:
-        raise ValueError("kappa_fn closures cannot cross process boundaries; "
-                         "run with workers=1")
-    cfg_dict = {
-        "d": config.d,
-        "base_seed": config.base_seed,
-        "outlier_kind": config.outlier_kind,
-        "noise_variance": config.noise_variance,
-        "losses": config.losses,
-        "solver": config.solver,
-    }
     items = [
-        (cell_idx, nd, p_fail, s_val, trial, cfg_dict)
+        (cell_idx, nd, p_fail, s_val, trial, config)
         for cell_idx, (nd, p_fail, s_val) in enumerate(config.cells())
         for trial in range(config.trials)
     ]
@@ -206,26 +215,20 @@ def run_sweep(config, workers=None):
     rows.sort(key=lambda r: (r["cell_idx"], r["loss_idx"], r["trial"]))
 
     summary = []
-    for cell_idx, (nd, p_fail, s_val) in enumerate(config.cells()):
-        for loss_idx, spec in enumerate(config.losses):
-            group = [
-                r for r in rows
-                if r["cell_idx"] == cell_idx and r["loss_idx"] == loss_idx
-            ]
-            trials = len(group)
-            successes = sum(r["success"] for r in group)
-            rel = [r["rel_error"] for r in group]
-            summary.append({
-                "d": config.d, "n": config.d * nd, "n_over_d": nd,
-                "p_fail": p_fail, "s": s_val,
-                "loss": loss_label(spec), "params": _params_json(spec),
-                "success_rate": successes / trials,
-                "mean_rel_err": sum(rel) / trials,
-                "median_rel_err": float(np.median(rel)),
-                "mean_seconds": sum(r["seconds"] for r in group) / trials,
-                "mean_iters": sum(r["iterations"] for r in group) / trials,
-                "cell_idx": cell_idx, "loss_idx": loss_idx,
-            })
+    for (cell_idx, loss_idx), group in groupby(
+        rows, key=lambda r: (r["cell_idx"], r["loss_idx"])
+    ):
+        group = list(group)
+        trials = len(group)
+        summary.append({
+            # d .. params: the cell and loss columns every row of the group shares
+            **{col: group[0][col] for col in SUMMARY_COLUMNS[:7]},
+            "success_rate": sum(r["success"] for r in group) / trials,
+            "mean_rel_err": sum(r["rel_error"] for r in group) / trials,
+            "mean_seconds": sum(r["seconds"] for r in group) / trials,
+            "mean_iters": sum(r["iterations"] for r in group) / trials,
+            "cell_idx": cell_idx, "loss_idx": loss_idx,
+        })
     return SweepResult(config=config, trial_rows=rows, summary_rows=summary)
 
 
@@ -288,17 +291,17 @@ def emit_outputs(result, out_dir):
 
 def sweep_config_from_dict(raw):
     """Build a :class:`SweepConfig` from parsed JSON, filling benchmark
-    defaults for anything omitted."""
-    solver_raw = dict(raw.get("solver", {}))
-    solver = SolverConfig(
-        alpha=solver_raw.get("alpha", 3.0),
-        eta=solver_raw.get("eta", 0.5),
-        rho=solver_raw.get("rho", 0.8),
-        c=solver_raw.get("c", 1e-4),
-        rel_tol=solver_raw.get("rel_tol", 1e-7),
-        max_iters=solver_raw.get("max_iters", 10000),
-        time_cap_seconds=solver_raw.get("time_cap_seconds", 30.0),
-    )
+    defaults for anything omitted.
+
+    The ``solver`` block takes :class:`SolverConfig` field names.  Unknown
+    keys raise ``ValueError``; top-level keys starting with ``_`` are
+    comments and are ignored.
+    """
+    _check_keys("sweep config", [k for k in raw if not k.startswith("_")],
+                [f.name for f in fields(SweepConfig)],
+                required=("d", "n_over_d", "p_fail", "losses"))
+    solver_raw = raw.get("solver", {})
+    _check_keys("solver block", solver_raw, [f.name for f in fields(SolverConfig)])
     return SweepConfig(
         d=int(raw["d"]),
         n_over_d=[int(v) for v in raw["n_over_d"]],
@@ -309,6 +312,6 @@ def sweep_config_from_dict(raw):
         base_seed=int(raw.get("base_seed", 0)),
         outlier_kind=raw.get("outlier_kind", "cauchy"),
         noise_variance=float(raw.get("noise_variance", 1e-6)),
-        solver=solver,
+        solver=SolverConfig(**solver_raw),
         output_dir=raw.get("output_dir"),
     )

@@ -198,7 +198,8 @@ def build_parser():
     p = sub.add_parser("solve", help="solve one instance file")
     p.add_argument("--instance", required=True)
     p.add_argument("--loss", required=True,
-                   help='JSON spec, e.g. \'{"name": "trimmed_l1", "K_over_n": 0.4}\'')
+                   help='JSON spec, e.g. \'{"name": "trimmed_l1", "K_over_n": 0.4}\'; '
+                        "unknown keys are rejected")
     p.add_argument("--trace", help="write the per-iteration trace CSV here")
     p.add_argument("--rel-tol", type=float, default=1e-7)
     p.add_argument("--max-iters", type=int, default=10000)

@@ -10,9 +10,7 @@ Every loss is ``phi = f - g`` with convex, Lipschitz, prox-friendly parts:
 
 A :class:`DcLoss` bundles the value/prox callables together with the
 Lipschitz constants used by the test-suite bounds.  The smoothing cap
-``eta`` fixes the admissible envelope scales ``mu <= 1/(2*eta)``; the
-catalog parts are all convex (``eta_f = eta_g = 0``), so the cap is a
-configuration knob rather than a property of the functions.
+``eta`` fixes the admissible envelope scales ``mu <= 1/(2*eta)``.
 """
 
 from dataclasses import dataclass, field
@@ -48,8 +46,6 @@ class DcLoss:
     g_prox: Callable = field(repr=False)
     L_f: float = 0.0
     L_g: float = 0.0
-    eta_f: float = 0.0
-    eta_g: float = 0.0
     eta: float = 0.5
 
     def phi_value(self, z):

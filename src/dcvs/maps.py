@@ -7,7 +7,7 @@ additive term into the composite by extending the residual by one entry.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -28,15 +28,13 @@ class SmoothMap:
     """A differentiable mapping R^in_dim -> R^out_dim.
 
     ``eval`` maps a point to the residual vector; ``jt_vec(x, v)`` applies
-    the transposed derivative at ``x`` to ``v``.  ``lip_ds`` optionally
-    records a Lipschitz constant of the derivative.
+    the transposed derivative at ``x`` to ``v``.
     """
 
     in_dim: int
     out_dim: int
     eval: Callable
     jt_vec: Callable
-    lip_ds: Optional[float] = None
 
 
 def _check_rpr_shapes(A, x, b=None):
@@ -94,7 +92,6 @@ def rpr_map(A, b):
         out_dim=n,
         eval=lambda x: rpr_eval(A, b, x),
         jt_vec=lambda x, v: rpr_jt_vec(A, x, v),
-        lip_ds=rpr_lip_ds(A),
     )
 
 
@@ -132,8 +129,6 @@ def compose_with_smooth_term(h_value, h_grad, loss, smooth_map):
         g_prox=g_prox,
         L_f=float(np.hypot(base.L_f, 1.0)),
         L_g=base.L_g,
-        eta_f=base.eta_f,
-        eta_g=base.eta_g,
         eta=base.eta,
     )
 
@@ -148,6 +143,5 @@ def compose_with_smooth_term(h_value, h_grad, loss, smooth_map):
         out_dim=n + 1,
         eval=lifted_eval,
         jt_vec=lifted_jt_vec,
-        lip_ds=None,
     )
     return lifted_loss, lifted_map

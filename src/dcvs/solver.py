@@ -8,8 +8,8 @@ Armijo backtracking; no inner subproblem loop is needed.
 """
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -53,11 +53,6 @@ class SolverConfig:
     eta: float = 0.5
     rho: float = 0.8
     c: float = 1e-4
-    gamma_init_rule: str = "previous"  # previous | constant | kappa
-    gamma_init_value: float = 1.0      # used by the constant rule
-    gamma0_policy: str = "max_one_over_grad"  # max_one_over_grad | fixed
-    gamma0_value: float = 1.0
-    kappa_fn: Optional[Callable] = field(default=None, repr=False)
     rel_tol: float = 1e-7
     max_iters: int = 10000
     time_cap_seconds: Optional[float] = 30.0
@@ -77,12 +72,6 @@ class SolverConfig:
             raise ValueError("rel_tol must be nonnegative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.gamma_init_rule not in ("previous", "constant", "kappa"):
-            raise ValueError(f"unknown gamma_init_rule {self.gamma_init_rule!r}")
-        if self.gamma0_policy not in ("max_one_over_grad", "fixed"):
-            raise ValueError(f"unknown gamma0_policy {self.gamma0_policy!r}")
-        if self.gamma_init_rule == "kappa" and self.kappa_fn is None:
-            raise ValueError("gamma_init_rule='kappa' needs kappa_fn")
 
 
 @dataclass
@@ -95,6 +84,11 @@ class RunRecord:
     a step was taken.  The per-step arrays (``gammas``, ``gamma_inits``,
     ``backtrack_counts``) cover the gradient steps actually performed,
     so they are one shorter when the run ends on the stopping test.
+
+    ``termination`` is ``rel_tol`` when the relative change of the true
+    cost fell below ``rel_tol``, ``stationary`` when the surrogate
+    gradient was exactly zero, and ``max_iters`` or ``time_cap`` when a
+    budget ran out.
     """
 
     x_final: np.ndarray
@@ -107,7 +101,7 @@ class RunRecord:
     gammas: np.ndarray
     gamma_inits: np.ndarray
     backtrack_counts: np.ndarray
-    termination: str  # rel_tol | max_iters | time_cap
+    termination: str  # rel_tol | stationary | max_iters | time_cap
     wall_seconds: float
     iterates: Optional[np.ndarray] = None
 
@@ -189,7 +183,7 @@ def solve(loss, smooth_map, x1, config=None):
     checks the stopping rules (relative change of the true cost from the
     second evaluation on, iteration budget, wall-clock cap), then takes a
     backtracked gradient step.  An exactly zero gradient ends the run
-    immediately.  Returns a :class:`RunRecord`.
+    immediately as ``stationary``.  Returns a :class:`RunRecord`.
     """
     cfg = config if config is not None else SolverConfig()
     x = np.asarray(x1, dtype=float).copy()
@@ -218,11 +212,14 @@ def solve(loss, smooth_map, x1, config=None):
     while True:
         k += 1
         mu = mu_schedule(k, cfg.eta, cfg.alpha)
-        Fk, grad = surrogate_oracle(loss, smooth_map, x, mu)
+        # one residual serves the surrogate and the true cost
+        z = smooth_map.eval(x)
+        Fk, zgrad = surrogate_at_residual(loss, z, mu)
+        grad = smooth_map.jt_vec(x, zgrad)
         if not np.isfinite(Fk) or not np.all(np.isfinite(grad)):
             raise SolverError(f"non-finite surrogate at iteration {k}", iteration=k)
         gn = float(np.linalg.norm(grad))
-        cost = float(loss.phi_value(smooth_map.eval(x)))
+        cost = float(loss.phi_value(z))
 
         mus.append(mu)
         f_vals.append(Fk)
@@ -245,22 +242,11 @@ def solve(loss, smooth_map, x1, config=None):
         prev_cost = cost
 
         if gn == 0.0:
-            termination = "rel_tol"
+            termination = "stationary"
             stepped_last = False
             break
 
-        if cfg.gamma_init_rule == "previous":
-            if gamma_prev is None:
-                if cfg.gamma0_policy == "max_one_over_grad":
-                    ginit = max(1.0, 1.0 / gn)
-                else:
-                    ginit = cfg.gamma0_value
-            else:
-                ginit = gamma_prev
-        elif cfg.gamma_init_rule == "constant":
-            ginit = cfg.gamma_init_value
-        else:  # kappa
-            ginit = 2.0 * (1.0 - cfg.c) / cfg.kappa_fn(mu)
+        ginit = max(1.0, 1.0 / gn) if gamma_prev is None else gamma_prev
 
         def eval_Fk(y, _mu=mu):
             return surrogate_value(loss, smooth_map, y, _mu)

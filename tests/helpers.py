@@ -19,6 +19,18 @@ def catalog_losses(n):
     ]
 
 
+# loss specs the spec table rejects: a misspelt key with and without the
+# required one, a missing required key, a key the loss does not take, an
+# unknown name
+BAD_LOSS_SPECS = [
+    {"name": "mcp", "lam": 5},
+    {"name": "mcp", "lam": 5, "beta": 1000},
+    {"name": "trimmed_l1"},
+    {"name": "l1", "beta": 1},
+    {"name": "nope"},
+]
+
+
 def small_instance(seed, d=20, n=100, p_fail=0.25, s=1.0):
     inst = generate_instance(d, n, p_fail, s, seed=seed)
     return inst, rpr_map(inst.A, inst.b)

@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from helpers import BAD_LOSS_SPECS
 
 from dcvs.bench import (
     SweepConfig,
@@ -47,6 +50,40 @@ def test_loss_from_spec_and_labels():
     assert loss_label({"name": "mcp", "lambda": 1, "beta": 1000}) == "mcp_lam1_beta1000"
     assert loss_label({"name": "capped_l1", "beta": 100}) == "capped_l1_beta100"
     assert loss_label({"name": "l1"}) == "l1"
+    # lambda is optional for mcp and defaults to 1
+    assert loss_from_spec({"name": "mcp", "beta": 2}, 10).params == {"lam": 1.0, "beta": 2.0}
+    assert loss_from_spec({"name": "mcp", "lambda": 5, "beta": 2}, 10).params["lam"] == 5.0
+
+
+def minimal_raw(**overrides):
+    raw = {"d": 10, "n_over_d": [5], "p_fail": [0.1], "losses": [{"name": "l1"}]}
+    raw.update(overrides)
+    return raw
+
+
+@pytest.mark.parametrize("spec", BAD_LOSS_SPECS, ids=json.dumps)
+def test_bad_loss_spec_rejected(spec):
+    with pytest.raises(ValueError):
+        loss_from_spec(spec, 100)
+    with pytest.raises(ValueError):
+        loss_label(spec)
+    with pytest.raises(ValueError):
+        sweep_config_from_dict(minimal_raw(losses=[spec]))
+
+
+def test_sweep_config_keys():
+    with pytest.raises(ValueError):
+        sweep_config_from_dict(minimal_raw(solver={"gamma_init_rule": "constant"}))
+    with pytest.raises(ValueError):
+        sweep_config_from_dict(minimal_raw(trails=3))
+    with pytest.raises(ValueError):
+        sweep_config_from_dict({"d": 10, "n_over_d": [5], "p_fail": [0.1]})
+    # "_" keys are comments; the solver block takes any SolverConfig field
+    cfg = sweep_config_from_dict(minimal_raw(
+        _comment="ignored", solver={"max_backtracks": 7, "time_cap_seconds": None},
+    ))
+    assert cfg.solver.max_backtracks == 7
+    assert cfg.solver.time_cap_seconds is None
 
 
 def test_config_validation():
@@ -103,10 +140,7 @@ def test_sweep_grid_permutation_leaves_trials_unchanged():
 def test_sweep_solver_error_recorded_not_raised():
     cfg = tiny_config(
         losses=[{"name": "l1"}],
-        solver=SolverConfig(
-            gamma_init_rule="constant", gamma_init_value=1e18,
-            max_iters=10, max_backtracks=0, time_cap_seconds=None,
-        ),
+        solver=SolverConfig(max_iters=10, max_backtracks=0, time_cap_seconds=None),
     )
     result = run_sweep(cfg, workers=1)
     assert all(r["termination"] == "error" for r in result.trial_rows)

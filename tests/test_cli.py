@@ -1,6 +1,8 @@
 import json
 
 import numpy as np
+import pytest
+from helpers import BAD_LOSS_SPECS
 
 from dcvs import load_instance
 from dcvs.cli import main
@@ -26,6 +28,14 @@ def test_gen_and_solve_round_trip(tmp_path, capsys):
     assert "rel_error=" in out
     header = trace_path.read_text(encoding="utf-8").split("\n", 1)[0]
     assert header == "k,mu,F_k,grad_norm,gamma,backtracks,true_cost"
+
+
+@pytest.mark.parametrize("spec", BAD_LOSS_SPECS, ids=json.dumps)
+def test_solve_rejects_bad_loss_spec(tmp_path, spec):
+    inst_path = tmp_path / "inst.npz"
+    assert main(["gen", "--d", "5", "--n", "20", "--out", str(inst_path)]) == 0
+    with pytest.raises(ValueError):
+        main(["solve", "--instance", str(inst_path), "--loss", json.dumps(spec)])
 
 
 def test_sweep_command(tmp_path, capsys):

@@ -37,7 +37,6 @@ def test_constants():
     assert capped.L_g == pytest.approx(3.0)
     trimmed = make_loss("trimmed_l1", n, K=4)
     assert trimmed.L_g == pytest.approx(2.0)
-    assert trimmed.eta_f == 0.0 and trimmed.eta_g == 0.0
     assert trimmed.eta == 0.5 and trimmed.mu_max == 1.0
 
 
