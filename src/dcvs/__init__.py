@@ -2,7 +2,7 @@
 specialized to robust phase retrieval with nonconvex loss functions."""
 
 from .losses import DcLoss, make_loss, surrogate_at_residual
-from .maps import SmoothMap, compose_with_smooth_term, rpr_map
+from .maps import SmoothMap, rpr_map
 from .retrieval import (
     Instance,
     generate_instance,
@@ -34,7 +34,6 @@ __all__ = (
     "SolverConfig",
     "SolverError",
     "backtrack",
-    "compose_with_smooth_term",
     "generate_instance",
     "kappa_fn_for_loss",
     "kappa_mu",

@@ -62,8 +62,8 @@ class SweepConfig:
     d: int
     n_over_d: list
     p_fail: list
-    s: list
     losses: list
+    s: list = field(default_factory=lambda: [1.0])
     trials: int = 50
     base_seed: int = 0
     outlier_kind: str = "cauchy"
@@ -183,24 +183,16 @@ def _run_trial(args):
     return rows
 
 
-def resolve_workers(workers=None):
-    """Worker count: the DCVS_WORKERS environment variable overrides any
-    requested value; the fallback is serial execution."""
-    env = os.environ.get("DCVS_WORKERS")
-    if env is not None:
-        return max(1, int(env))
-    return max(1, int(workers)) if workers else 1
-
-
 def run_sweep(config, workers=None):
     """Execute the whole grid and aggregate per (cell, loss).
 
     Deterministic for a fixed ``base_seed`` whatever the worker count:
     trial seeds are scheduling-independent and rows are sorted before
     aggregation.  A solver failure is recorded on its trial row, counts
-    as an unsuccessful trial, and never aborts the sweep.
+    as an unsuccessful trial, and never aborts the sweep.  ``workers``
+    is the process count; ``None`` or 0 runs serially in this process.
     """
-    workers = resolve_workers(workers)
+    workers = max(1, int(workers)) if workers else 1
     items = [
         (cell_idx, nd, p_fail, s_val, trial, config)
         for cell_idx, (nd, p_fail, s_val) in enumerate(config.cells())
@@ -289,29 +281,35 @@ def emit_outputs(result, out_dir):
     return written
 
 
+# JSON numbers are coerced so that CSV text does not depend on whether a
+# config wrote 0 or 0.0.
+_CONFIG_CASTS = {
+    "d": int,
+    "n_over_d": lambda v: [int(x) for x in v],
+    "p_fail": lambda v: [float(x) for x in v],
+    "s": lambda v: [float(x) for x in v],
+    "losses": list,
+    "trials": int,
+    "base_seed": int,
+    "noise_variance": float,
+}
+
+
 def sweep_config_from_dict(raw):
-    """Build a :class:`SweepConfig` from parsed JSON, filling benchmark
-    defaults for anything omitted.
+    """Build a :class:`SweepConfig` from parsed JSON; anything omitted
+    takes the :class:`SweepConfig` / :class:`SolverConfig` default.
 
     The ``solver`` block takes :class:`SolverConfig` field names.  Unknown
     keys raise ``ValueError``; top-level keys starting with ``_`` are
     comments and are ignored.
     """
-    _check_keys("sweep config", [k for k in raw if not k.startswith("_")],
-                [f.name for f in fields(SweepConfig)],
+    kwargs = {k: v for k, v in raw.items() if not k.startswith("_")}
+    _check_keys("sweep config", kwargs, [f.name for f in fields(SweepConfig)],
                 required=("d", "n_over_d", "p_fail", "losses"))
-    solver_raw = raw.get("solver", {})
+    solver_raw = kwargs.get("solver", {})
     _check_keys("solver block", solver_raw, [f.name for f in fields(SolverConfig)])
-    return SweepConfig(
-        d=int(raw["d"]),
-        n_over_d=[int(v) for v in raw["n_over_d"]],
-        p_fail=[float(v) for v in raw["p_fail"]],
-        s=[float(v) for v in raw.get("s", [1.0])],
-        losses=list(raw["losses"]),
-        trials=int(raw.get("trials", 50)),
-        base_seed=int(raw.get("base_seed", 0)),
-        outlier_kind=raw.get("outlier_kind", "cauchy"),
-        noise_variance=float(raw.get("noise_variance", 1e-6)),
-        solver=SolverConfig(**solver_raw),
-        output_dir=raw.get("output_dir"),
-    )
+    kwargs["solver"] = SolverConfig(**solver_raw)
+    for key, cast in _CONFIG_CASTS.items():
+        if key in kwargs:
+            kwargs[key] = cast(kwargs[key])
+    return SweepConfig(**kwargs)

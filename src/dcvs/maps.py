@@ -2,8 +2,7 @@
 
 The only derivative primitive is ``jt_vec(x, v) = D S(x)^T v``; full
 Jacobians are never materialized.  The quadratic residual map used by
-robust phase retrieval is provided, plus a builder that folds a smooth
-additive term into the composite by extending the residual by one entry.
+robust phase retrieval is provided.
 """
 
 from dataclasses import dataclass
@@ -11,15 +10,12 @@ from typing import Callable
 
 import numpy as np
 
-from .losses import DcLoss
-
 __all__ = (
     "SmoothMap",
     "rpr_eval",
     "rpr_jt_vec",
     "rpr_lip_ds",
     "rpr_map",
-    "compose_with_smooth_term",
 )
 
 
@@ -93,55 +89,3 @@ def rpr_map(A, b):
         eval=lambda x: rpr_eval(A, b, x),
         jt_vec=lambda x, v: rpr_jt_vec(A, x, v),
     )
-
-
-def compose_with_smooth_term(h_value, h_grad, loss, smooth_map):
-    """Fold a smooth additive term ``h`` into the DC composite.
-
-    ``h(x) + (f - g)(S(x))`` equals ``(f' - g')(S'(x))`` with the lifted
-    residual ``S'(x) = [S(x), h(x)]``, ``f'([z, t]) = f(z) + t`` and
-    ``g'([z, t]) = g(z)``.  The lifted f-prox acts as (f-prox on z,
-    ``t - mu``); the g-prox leaves the last entry untouched.  Returns the
-    lifted ``(DcLoss, SmoothMap)`` pair.
-    """
-    n = smooth_map.out_dim
-    base = loss
-
-    def f_value(w):
-        return base.f_value(w[:n]) + float(w[n])
-
-    def f_prox(w, mu):
-        return np.concatenate([np.atleast_1d(base.f_prox(w[:n], mu)), [w[n] - mu]])
-
-    def g_value(w):
-        return base.g_value(w[:n])
-
-    def g_prox(w, mu):
-        return np.concatenate([np.atleast_1d(base.g_prox(w[:n], mu)), [w[n]]])
-
-    lifted_loss = DcLoss(
-        name=base.name,
-        params=dict(base.params),
-        n=n + 1,
-        f_value=f_value,
-        g_value=g_value,
-        f_prox=f_prox,
-        g_prox=g_prox,
-        L_f=float(np.hypot(base.L_f, 1.0)),
-        L_g=base.L_g,
-        eta=base.eta,
-    )
-
-    def lifted_eval(x):
-        return np.concatenate([np.atleast_1d(smooth_map.eval(x)), [h_value(x)]])
-
-    def lifted_jt_vec(x, v):
-        return smooth_map.jt_vec(x, v[:n]) + h_grad(x) * float(v[n])
-
-    lifted_map = SmoothMap(
-        in_dim=smooth_map.in_dim,
-        out_dim=n + 1,
-        eval=lifted_eval,
-        jt_vec=lifted_jt_vec,
-    )
-    return lifted_loss, lifted_map

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .losses import surrogate_at_residual
+from .losses import MU_MAX, surrogate_at_residual
 
 __all__ = (
     "SolverConfig",
@@ -92,8 +92,6 @@ class RunRecord:
     """
 
     x_final: np.ndarray
-    x_best: np.ndarray
-    best_iter: int
     mus: np.ndarray
     surrogate_values: np.ndarray
     grad_norms: np.ndarray
@@ -191,18 +189,16 @@ def solve(loss, smooth_map, x1, config=None):
         raise ValueError(f"x1 must have shape ({smooth_map.in_dim},), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("x1 must be finite")
-    if mu_schedule(1, cfg.eta, cfg.alpha) > loss.mu_max * (1.0 + 1e-12):
+    if mu_schedule(1, cfg.eta, cfg.alpha) > MU_MAX * (1.0 + 1e-12):
         raise ValueError(
-            "schedule exceeds the loss smoothing cap: need config.eta >= loss.eta"
+            f"schedule exceeds the smoothing cap {MU_MAX}: "
+            f"need config.eta >= {1.0 / (2.0 * MU_MAX)}"
         )
 
     t0 = time.perf_counter()
     mus, f_vals, grad_norms, costs = [], [], [], []
     gammas, gamma_inits, backtracks = [], [], []
     iterates = [] if cfg.store_iterates else None
-    best_gn = np.inf
-    best_x = x.copy()
-    best_iter = 1
     gamma_prev = None
     prev_cost = None
     termination = None
@@ -227,8 +223,6 @@ def solve(loss, smooth_map, x1, config=None):
         costs.append(cost)
         if iterates is not None:
             iterates.append(x.copy())
-        if gn < best_gn:
-            best_gn, best_x, best_iter = gn, x.copy(), k
 
         if prev_cost is not None:
             change = abs(cost - prev_cost)
@@ -281,8 +275,6 @@ def solve(loss, smooth_map, x1, config=None):
 
     return RunRecord(
         x_final=x,
-        x_best=best_x,
-        best_iter=best_iter,
         mus=np.asarray(mus),
         surrogate_values=np.asarray(f_vals),
         grad_norms=np.asarray(grad_norms),

@@ -196,17 +196,6 @@ def test_sweep_outlier_free_exact_recovery():
     assert result.summary_rows[0]["success_rate"] == 1.0
 
 
-def test_workers_env_override(monkeypatch):
-    from dcvs.bench import resolve_workers
-
-    monkeypatch.delenv("DCVS_WORKERS", raising=False)
-    assert resolve_workers(None) == 1
-    assert resolve_workers(4) == 4
-    monkeypatch.setenv("DCVS_WORKERS", "3")
-    assert resolve_workers(None) == 3
-    assert resolve_workers(8) == 3  # environment wins
-
-
 def test_sweep_config_from_dict_defaults():
     raw = {
         "d": 10,

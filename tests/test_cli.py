@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from helpers import BAD_LOSS_SPECS
 
-from dcvs import load_instance
+import dcvs.cli
+from dcvs import SolverConfig, load_instance
 from dcvs.cli import main
 
 
@@ -28,6 +29,21 @@ def test_gen_and_solve_round_trip(tmp_path, capsys):
     assert "rel_error=" in out
     header = trace_path.read_text(encoding="utf-8").split("\n", 1)[0]
     assert header == "k,mu,F_k,grad_norm,gamma,backtracks,true_cost"
+
+
+def test_solve_defaults_are_solver_config_defaults(tmp_path, monkeypatch):
+    inst_path = tmp_path / "inst.npz"
+    assert main(["gen", "--d", "5", "--n", "30", "--out", str(inst_path)]) == 0
+    real_solve, seen = dcvs.cli.solve, []
+
+    def recording_solve(loss, smooth_map, x1, config):
+        seen.append(config)
+        return real_solve(loss, smooth_map, x1, config)
+
+    monkeypatch.setattr(dcvs.cli, "solve", recording_solve)
+    assert main(["solve", "--instance", str(inst_path),
+                 "--loss", json.dumps({"name": "l1"})]) == 0
+    assert seen == [SolverConfig()]
 
 
 @pytest.mark.parametrize("spec", BAD_LOSS_SPECS, ids=json.dumps)
@@ -66,10 +82,3 @@ def test_sweep_requires_output_dir(tmp_path, capsys):
         "trials": 1,
     }), encoding="utf-8")
     assert main(["sweep", "--config", str(cfg_path)]) == 2
-
-
-def test_selfcheck(capsys):
-    assert main(["selfcheck"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("[PASS]") == 4
-    assert "[FAIL]" not in out

@@ -3,6 +3,7 @@ import pytest
 from helpers import breakpoint_gap, catalog_losses
 
 from dcvs import make_loss, surrogate_at_residual
+from dcvs.losses import MU_MAX
 from dcvs.oracle import fd_grad
 
 
@@ -37,7 +38,7 @@ def test_constants():
     assert capped.L_g == pytest.approx(3.0)
     trimmed = make_loss("trimmed_l1", n, K=4)
     assert trimmed.L_g == pytest.approx(2.0)
-    assert trimmed.eta == 0.5 and trimmed.mu_max == 1.0
+    assert MU_MAX == 1.0
 
 
 def test_phi_matches_closed_forms():

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 from helpers import catalog_losses, draw_x_away_from_kinks
 
-from dcvs import (
-    compose_with_smooth_term,
-    generate_instance,
-    make_loss,
-    rpr_map,
-    surrogate_at_residual,
-)
+from dcvs import generate_instance, rpr_map, surrogate_at_residual
 from dcvs.maps import rpr_eval, rpr_jt_vec, rpr_lip_ds
 from dcvs.oracle import fd_grad
 
@@ -103,54 +97,6 @@ def test_empirical_derivative_lipschitz_bound():
             v = w / nw
         sigma = np.linalg.norm(2.0 * delta * (A @ v))
         assert sigma <= L * np.linalg.norm(x - y) * (1.0 + 1e-6)
-
-
-def test_compose_with_smooth_term():
-    rng = np.random.default_rng(5)
-    inst = generate_instance(6, 20, 0.2, 1.0, seed=9)
-    base_map = rpr_map(inst.A, inst.b)
-    n = base_map.out_dim
-    Q = rng.standard_normal((6, 6))
-    Q = Q @ Q.T / 6.0
-    q = rng.standard_normal(6)
-
-    def h_value(x):
-        return 0.5 * float(x @ Q @ x) + float(q @ x)
-
-    def h_grad(x):
-        return Q @ x + q
-
-    for base_loss in catalog_losses(n):
-        loss, smooth_map = compose_with_smooth_term(h_value, h_grad, base_loss, base_map)
-        assert smooth_map.out_dim == n + 1
-        for _ in range(20):
-            x = rng.standard_normal(6)
-            lifted = loss.phi_value(smooth_map.eval(x))
-            direct = h_value(x) + base_loss.phi_value(base_map.eval(x))
-            assert lifted == pytest.approx(direct, abs=1e-12 * (1 + abs(direct)))
-
-        # the lifted surrogate is the base surrogate plus h(x) - mu/2
-        for _ in range(10):
-            x = rng.standard_normal(6)
-            mu = float(rng.uniform(0.05, 1.0))
-            lifted_val, _ = surrogate_at_residual(loss, smooth_map.eval(x), mu)
-            base_val, _ = surrogate_at_residual(base_loss, base_map.eval(x), mu)
-            assert lifted_val == pytest.approx(base_val + h_value(x) - mu / 2.0)
-
-
-def test_compose_with_zero_term_is_identity():
-    inst = generate_instance(5, 15, 0.0, 1.0, seed=10)
-    base_map = rpr_map(inst.A, inst.b)
-    base_loss = make_loss("capped_l1", base_map.out_dim, beta=2.0)
-    loss, smooth_map = compose_with_smooth_term(
-        lambda x: 0.0, lambda x: np.zeros(5), base_loss, base_map
-    )
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        x = rng.standard_normal(5)
-        assert loss.phi_value(smooth_map.eval(x)) == pytest.approx(
-            base_loss.phi_value(base_map.eval(x))
-        )
 
 
 def test_chain_rule_gradient_through_map():
