@@ -20,7 +20,7 @@ from typing import Optional
 from .losses import make_loss
 from .maps import rpr_map
 from .retrieval import generate_instance, spectral_init, success
-from .solver import SolverConfig, SolverError, solve
+from .solver import SolverConfig, SolverError, solve, write_csv
 
 __all__ = (
     "LOSS_SPECS",
@@ -72,14 +72,17 @@ class SweepConfig:
     output_dir: Optional[str] = None
 
     def __post_init__(self):
+        for key, cast in _CONFIG_CASTS.items():
+            setattr(self, key, cast(getattr(self, key)))
         if not (self.n_over_d and self.p_fail and self.s and self.losses):
             raise ValueError("all grids and the loss list must be nonempty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        # dry-build every loss at every n of the grid, so that a bad entry
+        # fails here and not mid-sweep
         for spec in self.losses:
-            # dry-build against a representative n so a bad loss entry
-            # fails at config time, not mid-sweep
-            loss_from_spec(spec, max(self.d * max(self.n_over_d), 2))
+            for nd in self.n_over_d:
+                loss_from_spec(spec, self.d * nd)
 
     def cells(self):
         """Canonical cell order: n_over_d outer, then p_fail, then s."""
@@ -224,20 +227,6 @@ def run_sweep(config, workers=None):
     return SweepResult(config=config, trial_rows=rows, summary_rows=summary)
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[col]) for col in header))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def emit_outputs(result, out_dir):
     """Write summary.csv, trials.csv, and one success-rate matrix per
     loss (and per outlier scale when several are swept).
@@ -248,13 +237,13 @@ def emit_outputs(result, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
-    path = os.path.join(out_dir, "summary.csv")
-    _write_csv(path, SUMMARY_COLUMNS, result.summary_rows)
-    written.append(path)
-
-    path = os.path.join(out_dir, "trials.csv")
-    _write_csv(path, TRIAL_COLUMNS, result.trial_rows)
-    written.append(path)
+    for name, header, rows in (
+        ("summary.csv", SUMMARY_COLUMNS, result.summary_rows),
+        ("trials.csv", TRIAL_COLUMNS, result.trial_rows),
+    ):
+        path = os.path.join(out_dir, name)
+        write_csv(path, header, [[row[col] for col in header] for row in rows])
+        written.append(path)
 
     config = result.config
     by_key = {
@@ -267,22 +256,17 @@ def emit_outputs(result, out_dir):
         for s_val in config.s:
             name = f"heatmap_{label}.csv" if single_s else f"heatmap_{label}_s{s_val:g}.csv"
             path = os.path.join(out_dir, name)
-            lines = ["p_fail\\n_over_d," + ",".join(str(nd) for nd in config.n_over_d)]
-            if result.summary_rows:
-                for p_fail in config.p_fail:
-                    cells = [
-                        _fmt(by_key[(label, s_val, p_fail, nd)])
-                        for nd in config.n_over_d
-                    ]
-                    lines.append(_fmt(p_fail) + "," + ",".join(cells))
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("\n".join(lines) + "\n")
+            rows = [
+                [p_fail, *(by_key[(label, s_val, p_fail, nd)] for nd in config.n_over_d)]
+                for p_fail in config.p_fail if by_key
+            ]
+            write_csv(path, ["p_fail\\n_over_d", *config.n_over_d], rows)
             written.append(path)
     return written
 
 
-# JSON numbers are coerced so that CSV text does not depend on whether a
-# config wrote 0 or 0.0.
+# Field coercions applied by SweepConfig, so that CSV text does not depend
+# on whether a config wrote 0 or 0.0, or on how the config was built.
 _CONFIG_CASTS = {
     "d": int,
     "n_over_d": lambda v: [int(x) for x in v],
@@ -309,7 +293,4 @@ def sweep_config_from_dict(raw):
     solver_raw = kwargs.get("solver", {})
     _check_keys("solver block", solver_raw, [f.name for f in fields(SolverConfig)])
     kwargs["solver"] = SolverConfig(**solver_raw)
-    for key, cast in _CONFIG_CASTS.items():
-        if key in kwargs:
-            kwargs[key] = cast(kwargs[key])
     return SweepConfig(**kwargs)

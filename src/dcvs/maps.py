@@ -12,8 +12,6 @@ import numpy as np
 
 __all__ = (
     "SmoothMap",
-    "rpr_eval",
-    "rpr_jt_vec",
     "rpr_lip_ds",
     "rpr_map",
 )
@@ -33,38 +31,6 @@ class SmoothMap:
     jt_vec: Callable
 
 
-def _check_rpr_shapes(A, x, b=None):
-    if A.ndim != 2:
-        raise ValueError(f"A must be a matrix, got ndim={A.ndim}")
-    n, d = A.shape
-    if x.shape != (d,):
-        raise ValueError(f"x must have shape ({d},), got {x.shape}")
-    if b is not None and b.shape != (n,):
-        raise ValueError(f"b must have shape ({n},), got {b.shape}")
-
-
-def rpr_eval(A, b, x):
-    """Quadratic measurement residual ``(Ax) ⊙ (Ax) - b``."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x = np.asarray(x, dtype=float)
-    _check_rpr_shapes(A, x, b)
-    Ax = A @ x
-    return Ax * Ax - b
-
-
-def rpr_jt_vec(A, x, v):
-    """Transposed-derivative product ``2 A^T ((Ax) ⊙ v)`` of the
-    quadratic residual map."""
-    A = np.asarray(A, dtype=float)
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    _check_rpr_shapes(A, x)
-    if v.shape != (A.shape[0],):
-        raise ValueError(f"v must have shape ({A.shape[0]},), got {v.shape}")
-    return 2.0 * (A.T @ ((A @ x) * v))
-
-
 def rpr_lip_ds(A):
     """Lipschitz constant ``2 sqrt(sum_i ||a_i||^4)`` of the derivative of
     the quadratic residual map (rows ``a_i``)."""
@@ -77,15 +43,32 @@ def rpr_lip_ds(A):
 
 
 def rpr_map(A, b):
-    """Bundle the quadratic residual map for measurements ``(A, b)``."""
+    """The quadratic residual map ``S(x) = (Ax) ⊙ (Ax) - b`` for
+    measurements ``(A, b)``, with ``jt_vec(x, v) = 2 A^T ((Ax) ⊙ v)``.
+
+    ``A`` and ``b`` are converted and checked here, once.  Each call
+    checks only the shape of ``x`` (and ``v``): numpy would broadcast an
+    ``x`` of shape ``(d, 1)`` or a ``v`` of length 1 without complaint.
+    """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
+    if A.ndim != 2:
+        raise ValueError(f"A must be a matrix, got ndim={A.ndim}")
     n, d = A.shape
     if b.shape != (n,):
         raise ValueError(f"b must have shape ({n},), got {b.shape}")
-    return SmoothMap(
-        in_dim=d,
-        out_dim=n,
-        eval=lambda x: rpr_eval(A, b, x),
-        jt_vec=lambda x, v: rpr_jt_vec(A, x, v),
-    )
+
+    def checked(name, u, size):
+        u = np.asarray(u, dtype=float)
+        if u.shape != (size,):
+            raise ValueError(f"{name} must have shape ({size},), got {u.shape}")
+        return u
+
+    def eval_(x):
+        Ax = A @ checked("x", x, d)
+        return Ax * Ax - b
+
+    def jt_vec(x, v):
+        return 2.0 * (A.T @ ((A @ checked("x", x, d)) * checked("v", v, n)))
+
+    return SmoothMap(in_dim=d, out_dim=n, eval=eval_, jt_vec=jt_vec)

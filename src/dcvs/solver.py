@@ -24,8 +24,12 @@ __all__ = (
     "surrogate_value",
     "backtrack",
     "solve",
+    "write_csv",
     "write_trace",
 )
+
+# Armijo shrinkages per step before a solve gives up loudly.
+MAX_BACKTRACKS = 200
 
 TRACE_COLUMNS = ("k", "mu", "F_k", "grad_norm", "gamma", "backtracks", "true_cost")
 
@@ -57,7 +61,6 @@ class SolverConfig:
     max_iters: int = 10000
     time_cap_seconds: Optional[float] = 30.0
     store_iterates: bool = False
-    max_backtracks: int = 200
 
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
@@ -66,8 +69,11 @@ class SolverConfig:
             raise ValueError("c must lie in (0, 1)")
         if not self.alpha >= 1.0:
             raise ValueError("alpha must be >= 1")
-        if not self.eta > 0.0:
-            raise ValueError("eta must be positive")
+        # mu_schedule rejects eta <= 0; its first, largest scale 1/(2*eta)
+        # must respect the smoothing cap
+        if mu_schedule(1, self.eta, self.alpha) > MU_MAX * (1.0 + 1e-12):
+            raise ValueError(f"schedule exceeds the smoothing cap {MU_MAX}: "
+                             f"need eta >= {1.0 / (2.0 * MU_MAX)}")
         if self.rel_tol < 0.0:
             raise ValueError("rel_tol must be nonnegative")
         if self.max_iters < 1:
@@ -147,7 +153,8 @@ def surrogate_value(loss, smooth_map, x, mu):
     return value
 
 
-def backtrack(eval_Fk, x, Fk_x, grad, gamma_init, rho, c, max_backtracks=200):
+def backtrack(eval_Fk, x, Fk_x, grad, gamma_init, rho, c,
+              max_backtracks=MAX_BACKTRACKS):
     """Armijo backtracking along the negative gradient.
 
     Returns the largest ``gamma in {gamma_init * rho^j}`` with
@@ -189,11 +196,6 @@ def solve(loss, smooth_map, x1, config=None):
         raise ValueError(f"x1 must have shape ({smooth_map.in_dim},), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("x1 must be finite")
-    if mu_schedule(1, cfg.eta, cfg.alpha) > MU_MAX * (1.0 + 1e-12):
-        raise ValueError(
-            f"schedule exceeds the smoothing cap {MU_MAX}: "
-            f"need config.eta >= {1.0 / (2.0 * MU_MAX)}"
-        )
 
     t0 = time.perf_counter()
     mus, f_vals, grad_norms, costs = [], [], [], []
@@ -247,7 +249,7 @@ def solve(loss, smooth_map, x1, config=None):
 
         try:
             gamma, nbt = backtrack(
-                eval_Fk, x, Fk, grad, ginit, cfg.rho, cfg.c, cfg.max_backtracks
+                eval_Fk, x, Fk, grad, ginit, cfg.rho, cfg.c, MAX_BACKTRACKS
             )
         except SolverError as err:
             err.iteration = k
@@ -288,29 +290,31 @@ def solve(loss, smooth_map, x1, config=None):
     )
 
 
+def write_csv(path, header, rows):
+    """Write ``header`` and ``rows`` (sequences of values) as CSV: UTF-8,
+    '\\n' line ends, floats as ``repr(float(v))`` (so numpy scalars print
+    as plain numbers) and everything else as ``str(v)``."""
+
+    def cell(v):
+        return repr(float(v)) if isinstance(v, float) else str(v)
+
+    lines = [",".join(map(cell, line)) for line in (header, *rows)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_trace(record, path):
     """Dump the per-step trace as CSV.
 
     One row per completed gradient step with columns
-    ``k,mu,F_k,grad_norm,gamma,backtracks,true_cost`` (UTF-8, '.' decimal
-    separator).  A terminal evaluation that only triggered the stopping
-    test has no step and therefore no row; it remains available on the
-    :class:`RunRecord` arrays.
+    ``k,mu,F_k,grad_norm,gamma,backtracks,true_cost``.  A terminal
+    evaluation that only triggered the stopping test has no step and
+    therefore no row; it remains available on the :class:`RunRecord`
+    arrays.
     """
-    lines = [",".join(TRACE_COLUMNS)]
-    for i in range(record.gammas.size):
-        lines.append(
-            ",".join(
-                (
-                    str(i + 1),
-                    repr(float(record.mus[i])),
-                    repr(float(record.surrogate_values[i])),
-                    repr(float(record.grad_norms[i])),
-                    repr(float(record.gammas[i])),
-                    str(int(record.backtrack_counts[i])),
-                    repr(float(record.cost_values[i])),
-                )
-            )
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [
+        (i + 1, record.mus[i], record.surrogate_values[i], record.grad_norms[i],
+         record.gammas[i], record.backtrack_counts[i], record.cost_values[i])
+        for i in range(record.gammas.size)
+    ]
+    write_csv(path, TRACE_COLUMNS, rows)

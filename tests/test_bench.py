@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from helpers import BAD_LOSS_SPECS
 
+import dcvs.solver
 from dcvs.bench import (
     SweepConfig,
     SweepResult,
@@ -78,11 +79,14 @@ def test_sweep_config_keys():
         sweep_config_from_dict(minimal_raw(trails=3))
     with pytest.raises(ValueError):
         sweep_config_from_dict({"d": 10, "n_over_d": [5], "p_fail": [0.1]})
+    # a schedule above the smoothing cap fails at load, not in the first solve
+    with pytest.raises(ValueError):
+        sweep_config_from_dict(minimal_raw(solver={"eta": 0.25}))
     # "_" keys are comments; the solver block takes any SolverConfig field
     cfg = sweep_config_from_dict(minimal_raw(
-        _comment="ignored", solver={"max_backtracks": 7, "time_cap_seconds": None},
+        _comment="ignored", solver={"rho": 0.5, "time_cap_seconds": None},
     ))
-    assert cfg.solver.max_backtracks == 7
+    assert cfg.solver.rho == 0.5
     assert cfg.solver.time_cap_seconds is None
 
 
@@ -93,6 +97,34 @@ def test_config_validation():
         tiny_config(p_fail=[])
     with pytest.raises(ValueError):
         tiny_config(losses=[{"name": "capped_l1"}])  # missing beta
+
+
+def test_loss_specs_checked_at_every_n():
+    # K = round(0.999 * n) is valid at n = 1500 but equals n at n = 500
+    raw = {"d": 100, "n_over_d": [5, 15], "p_fail": [0.1],
+           "losses": [{"name": "trimmed_l1", "K_over_n": 0.999}]}
+    with pytest.raises(ValueError):
+        sweep_config_from_dict(raw)
+    sweep_config_from_dict({**raw, "n_over_d": [15]})
+
+
+def test_direct_and_loaded_configs_write_the_same_csvs(tmp_path):
+    # SweepConfig normalises numbers itself: p_fail=[0] writes 0.0 however
+    # the config was built
+    raw = {"d": 8, "n_over_d": [5], "p_fail": [0, 0.2], "trials": 1,
+           "base_seed": 7, "losses": [{"name": "l1"}],
+           "solver": {"max_iters": 40, "time_cap_seconds": None}}
+    direct = SweepConfig(**{**raw, "solver": SolverConfig(**raw["solver"])})
+    for tag, cfg in (("direct", direct), ("loaded", sweep_config_from_dict(raw))):
+        emit_outputs(run_sweep(cfg, workers=1), tmp_path / tag)
+    names = sorted(p.name for p in (tmp_path / "direct").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "loaded").iterdir())
+    for name in names:
+        a = (tmp_path / "direct" / name).read_text(encoding="utf-8")
+        b = (tmp_path / "loaded" / name).read_text(encoding="utf-8")
+        assert strip_timing(a) == strip_timing(b), name
+    heat = (tmp_path / "direct" / "heatmap_l1.csv").read_text(encoding="utf-8")
+    assert heat.split("\n")[1].startswith("0.0,")
 
 
 def test_sweep_bookkeeping():
@@ -137,10 +169,12 @@ def test_sweep_grid_permutation_leaves_trials_unchanged():
     assert key(res_a.trial_rows) == key(res_b.trial_rows)
 
 
-def test_sweep_solver_error_recorded_not_raised():
+def test_sweep_solver_error_recorded_not_raised(monkeypatch):
+    # a serial sweep runs in this process, so the patched cap applies
+    monkeypatch.setattr(dcvs.solver, "MAX_BACKTRACKS", 0)
     cfg = tiny_config(
         losses=[{"name": "l1"}],
-        solver=SolverConfig(max_iters=10, max_backtracks=0, time_cap_seconds=None),
+        solver=SolverConfig(max_iters=10, time_cap_seconds=None),
     )
     result = run_sweep(cfg, workers=1)
     assert all(r["termination"] == "error" for r in result.trial_rows)

@@ -3,31 +3,43 @@ import pytest
 from helpers import catalog_losses, draw_x_away_from_kinks
 
 from dcvs import generate_instance, rpr_map, surrogate_at_residual
-from dcvs.maps import rpr_eval, rpr_jt_vec, rpr_lip_ds
+from dcvs.maps import rpr_lip_ds
 from dcvs.oracle import fd_grad
 
 
 def test_rpr_eval_examples():
-    assert np.allclose(rpr_eval(np.array([[1.0]]), np.array([1.0]), np.array([2.0])), [3.0])
-    assert np.allclose(rpr_eval(np.eye(2), np.zeros(2), np.array([1.0, 2.0])), [1.0, 4.0])
+    assert np.allclose(rpr_map(np.array([[1.0]]), np.array([1.0])).eval(np.array([2.0])), [3.0])
+    assert np.allclose(rpr_map(np.eye(2), np.zeros(2)).eval(np.array([1.0, 2.0])), [1.0, 4.0])
     A = np.random.default_rng(0).standard_normal((5, 3))
     x = np.array([0.5, -1.0, 2.0])
     b = (A @ x) ** 2
-    assert np.allclose(rpr_eval(A, b, x), 0.0)
+    assert np.allclose(rpr_map(A, b).eval(x), 0.0)
 
 
 def test_rpr_eval_shape_errors():
     with pytest.raises(ValueError):
-        rpr_eval(np.eye(2), np.zeros(3), np.zeros(2))
+        rpr_map(np.ones(2), np.zeros(1))  # A must be a matrix
     with pytest.raises(ValueError):
-        rpr_eval(np.eye(2), np.zeros(2), np.zeros(3))
+        rpr_map(np.eye(2), np.zeros(3))
+    m = rpr_map(np.eye(2), np.zeros(2))
+    # numpy alone would broadcast the (d, 1) point and the length-1 vector
+    for bad_x in (np.zeros(3), np.zeros((2, 1))):
+        with pytest.raises(ValueError):
+            m.eval(bad_x)
+        with pytest.raises(ValueError):
+            m.jt_vec(bad_x, np.ones(2))
+    for bad_v in (np.ones(3), np.ones(1)):
+        with pytest.raises(ValueError):
+            m.jt_vec(np.zeros(2), bad_v)
 
 
 def test_rpr_jt_vec_examples():
-    assert np.allclose(rpr_jt_vec(np.eye(2), np.array([1.0, 2.0]), np.zeros(2)), 0.0)
-    assert np.allclose(rpr_jt_vec(np.eye(2), np.array([1.0, 2.0]), np.ones(2)), [2.0, 4.0])
+    m = rpr_map(np.eye(2), np.zeros(2))
+    assert np.allclose(m.jt_vec(np.array([1.0, 2.0]), np.zeros(2)), 0.0)
+    assert np.allclose(m.jt_vec(np.array([1.0, 2.0]), np.ones(2)), [2.0, 4.0])
     assert np.allclose(
-        rpr_jt_vec(np.array([[1.0, 1.0]]), np.array([1.0, 1.0]), np.array([1.0])),
+        rpr_map(np.array([[1.0, 1.0]]), np.zeros(1)).jt_vec(
+            np.array([1.0, 1.0]), np.array([1.0])),
         [4.0, 4.0],
     )
 
@@ -37,9 +49,9 @@ def test_rpr_jt_vec_matches_finite_differences():
     A = rng.standard_normal((7, 4))
     x = rng.standard_normal(4)
     v = rng.standard_normal(7)
-    b = np.zeros(7)
-    got = rpr_jt_vec(A, x, v)
-    fd = fd_grad(lambda y: float(v @ rpr_eval(A, b, y)), x)
+    m = rpr_map(A, np.zeros(7))
+    got = m.jt_vec(x, v)
+    fd = fd_grad(lambda y: float(v @ m.eval(y)), x)
     assert np.allclose(got, fd, atol=1e-6)
 
 
@@ -49,8 +61,9 @@ def test_jt_vec_linearity():
     x = rng.standard_normal(3)
     v1, v2 = rng.standard_normal((2, 6))
     a, b2 = 0.7, -1.3
-    lhs = rpr_jt_vec(A, x, a * v1 + b2 * v2)
-    rhs = a * rpr_jt_vec(A, x, v1) + b2 * rpr_jt_vec(A, x, v2)
+    jt_vec = rpr_map(A, np.zeros(6)).jt_vec
+    lhs = jt_vec(x, a * v1 + b2 * v2)
+    rhs = a * jt_vec(x, v1) + b2 * jt_vec(x, v2)
     assert np.allclose(lhs, rhs)
 
 

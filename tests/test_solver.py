@@ -219,6 +219,12 @@ def test_solver_config_validation():
         SolverConfig(c=0.0)
     with pytest.raises(ValueError):
         SolverConfig(alpha=0.5)
+    # the schedule must start within the smoothing cap: mu_1 = 1/(2*eta) <= 1,
+    # with the boundary eta = 0.5 accepted
+    for eta in (0.25, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            SolverConfig(eta=eta)
+    assert SolverConfig(eta=0.5).eta == 0.5
 
 
 def test_write_trace_round_trip(tmp_path):
