@@ -1,6 +1,9 @@
 """Smooth inner mappings and their transposed-Jacobian products.
 
-The only derivative primitive is ``jt_vec(x, v) = D S(x)^T v``; full
+``eval(x)`` returns the residual ``S(x)`` together with the
+linearisation ``Ax`` it was built from, and the only derivative
+primitive, ``jt_vec(Ax, v) = D S(x)^T v``, takes that linearisation in
+place of ``x``, so a product at an evaluated point costs one matvec.  Full
 Jacobians are never materialized.  The quadratic residual map used by
 robust phase retrieval is provided.
 """
@@ -21,8 +24,9 @@ __all__ = (
 class SmoothMap:
     """A differentiable mapping R^in_dim -> R^out_dim.
 
-    ``eval`` maps a point to the residual vector; ``jt_vec(x, v)`` applies
-    the transposed derivative at ``x`` to ``v``.
+    ``eval(x)`` maps a point to the pair ``(z, Ax)``: the residual vector
+    and the linearisation of the map at ``x``.  ``jt_vec(Ax, v)`` applies
+    the transposed derivative at that point to ``v``.
     """
 
     in_dim: int
@@ -44,11 +48,13 @@ def rpr_lip_ds(A):
 
 def rpr_map(A, b):
     """The quadratic residual map ``S(x) = (Ax) ⊙ (Ax) - b`` for
-    measurements ``(A, b)``, with ``jt_vec(x, v) = 2 A^T ((Ax) ⊙ v)``.
+    measurements ``(A, b)``: ``eval(x)`` returns ``(S(x), Ax)`` and
+    ``jt_vec(Ax, v) = 2 A^T ((Ax) ⊙ v)``.
 
     ``A`` and ``b`` are converted and checked here, once.  Each call
-    checks only the shape of ``x`` (and ``v``): numpy would broadcast an
-    ``x`` of shape ``(d, 1)`` or a ``v`` of length 1 without complaint.
+    checks only the shapes of its vectors (``x``; ``Ax`` and ``v``):
+    numpy would broadcast an ``x`` of shape ``(d, 1)`` or a ``v`` of
+    length 1 without complaint.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -66,9 +72,9 @@ def rpr_map(A, b):
 
     def eval_(x):
         Ax = A @ checked("x", x, d)
-        return Ax * Ax - b
+        return Ax * Ax - b, Ax
 
-    def jt_vec(x, v):
-        return 2.0 * (A.T @ ((A @ checked("x", x, d)) * checked("v", v, n)))
+    def jt_vec(Ax, v):
+        return 2.0 * (A.T @ (checked("Ax", Ax, n) * checked("v", v, n)))
 
     return SmoothMap(in_dim=d, out_dim=n, eval=eval_, jt_vec=jt_vec)

@@ -140,15 +140,15 @@ def surrogate_oracle(loss, smooth_map, x, mu):
     Chains the envelope gradient at the residual through the transposed
     derivative of the inner map.
     """
-    x = np.asarray(x, dtype=float)
-    z = smooth_map.eval(x)
+    z, Ax = smooth_map.eval(np.asarray(x, dtype=float))
     value, zgrad = surrogate_at_residual(loss, z, mu)
-    return value, smooth_map.jt_vec(x, zgrad)
+    return value, smooth_map.jt_vec(Ax, zgrad)
 
 
 def surrogate_value(loss, smooth_map, x, mu):
-    """Value of the smoothed composite only (no gradient)."""
-    z = smooth_map.eval(np.asarray(x, dtype=float))
+    """Value of the smoothed composite only (no gradient), evaluated
+    from scratch at ``x``."""
+    z, _ = smooth_map.eval(np.asarray(x, dtype=float))
     value, _ = surrogate_at_residual(loss, z, mu)
     return value
 
@@ -189,6 +189,10 @@ def solve(loss, smooth_map, x1, config=None):
     second evaluation on, iteration budget, wall-clock cap), then takes a
     backtracked gradient step.  An exactly zero gradient ends the run
     immediately as ``stationary``.  Returns a :class:`RunRecord`.
+
+    The map is evaluated once at ``x1`` and once per line-search trial:
+    the accepted trial is the next iterate, so its point, residual and
+    linearisation are carried over bit for bit instead of recomputed.
     """
     cfg = config if config is not None else SolverConfig()
     x = np.asarray(x1, dtype=float).copy()
@@ -205,15 +209,16 @@ def solve(loss, smooth_map, x1, config=None):
     prev_cost = None
     termination = None
     stepped_last = False
+    trial = None  # the line search's last trial point: (y, S(y), Ay)
 
+    # one residual serves the surrogate, the gradient and the true cost
+    z, Ax = smooth_map.eval(x)
     k = 0
     while True:
         k += 1
         mu = mu_schedule(k, cfg.eta, cfg.alpha)
-        # one residual serves the surrogate and the true cost
-        z = smooth_map.eval(x)
         Fk, zgrad = surrogate_at_residual(loss, z, mu)
-        grad = smooth_map.jt_vec(x, zgrad)
+        grad = smooth_map.jt_vec(Ax, zgrad)
         if not np.isfinite(Fk) or not np.all(np.isfinite(grad)):
             raise SolverError(f"non-finite surrogate at iteration {k}", iteration=k)
         gn = float(np.linalg.norm(grad))
@@ -245,7 +250,10 @@ def solve(loss, smooth_map, x1, config=None):
         ginit = max(1.0, 1.0 / gn) if gamma_prev is None else gamma_prev
 
         def eval_Fk(y, _mu=mu):
-            return surrogate_value(loss, smooth_map, y, _mu)
+            nonlocal trial
+            z_y, Ax_y = smooth_map.eval(y)
+            trial = (y, z_y, Ax_y)
+            return surrogate_at_residual(loss, z_y, _mu)[0]
 
         try:
             gamma, nbt = backtrack(
@@ -255,7 +263,9 @@ def solve(loss, smooth_map, x1, config=None):
             err.iteration = k
             raise
 
-        x = x - gamma * grad
+        # backtrack returns on the trial it accepted, so the last trial is
+        # x - gamma * grad
+        x, z, Ax = trial
         gammas.append(gamma)
         gamma_inits.append(ginit)
         backtracks.append(nbt)
@@ -293,10 +303,13 @@ def solve(loss, smooth_map, x1, config=None):
 def write_csv(path, header, rows):
     """Write ``header`` and ``rows`` (sequences of values) as CSV: UTF-8,
     '\\n' line ends, floats as ``repr(float(v))`` (so numpy scalars print
-    as plain numbers) and everything else as ``str(v)``."""
+    as plain numbers) and everything else as ``str(v)``.  A cell holding
+    a comma (a loss's JSON ``params``) is quoted, with its ``"`` doubled;
+    every other cell is written bare."""
 
     def cell(v):
-        return repr(float(v)) if isinstance(v, float) else str(v)
+        s = repr(float(v)) if isinstance(v, float) else str(v)
+        return '"' + s.replace('"', '""') + '"' if "," in s else s
 
     lines = [",".join(map(cell, line)) for line in (header, *rows)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

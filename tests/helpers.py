@@ -69,10 +69,10 @@ def draw_x_away_from_kinks(rng, loss, A, smooth_map, mu, scale=1.0, h=1e-6):
     a_max = float(np.abs(A).max())
     for _ in range(200):
         x = scale * rng.standard_normal(smooth_map.in_dim)
-        z = smooth_map.eval(x)
+        z, Ax = smooth_map.eval(x)
         # one fd probe x +- h*e_j moves residual i by at most
         # 2h|<a_i,x>||a_ij| + h^2 a_ij^2
-        shift = 2.0 * h * float(np.abs(A @ x).max()) * a_max + h * h * a_max**2
+        shift = 2.0 * h * float(np.abs(Ax).max()) * a_max + h * h * a_max**2
         margin = max(1e-4, 10.0 * shift)
         if breakpoint_gap(loss, z, mu) > margin:
             return x

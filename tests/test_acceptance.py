@@ -132,7 +132,7 @@ def test_criterion_2_gradient_consistency():
             x = draw_x_away_from_kinks(rng, loss, inst.A, m, mu, scale=0.5)
             _, grad = surrogate_oracle(loss, m, x, mu)
             fd = fd_grad(
-                lambda y: surrogate_at_residual(loss, m.eval(y), mu)[0], x)
+                lambda y: surrogate_at_residual(loss, m.eval(y)[0], mu)[0], x)
             worst = max(worst, float(np.linalg.norm(fd - grad))
                         / (1.0 + float(np.linalg.norm(grad))))
     ok = worst <= 1e-5

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -196,6 +197,20 @@ def test_emit_outputs_shapes(tmp_path):
     summary = (tmp_path / "summary.csv").read_text(encoding="utf-8").strip().split("\n")
     assert summary[0].startswith("d,n,n_over_d,p_fail,s,loss,params,success_rate")
     assert len(summary) == 1 + 4
+
+
+def test_emit_outputs_quote_multi_key_params(tmp_path):
+    # an mcp spec has two parameters, so its JSON params cell holds a comma
+    cfg = tiny_config(trials=1, losses=[{"name": "mcp", "lambda": 1, "beta": 1000}])
+    emit_outputs(run_sweep(cfg, workers=1), tmp_path)
+    for name in ("trials.csv", "summary.csv"):
+        with open(tmp_path / name, encoding="utf-8", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert rows
+        for row in rows:
+            assert len(row) == len(header)
+            params = json.loads(row[header.index("params")])
+            assert params == {"beta": 1000, "lambda": 1}
 
 
 def test_emit_outputs_empty_result(tmp_path):

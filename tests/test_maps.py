@@ -8,12 +8,17 @@ from dcvs.oracle import fd_grad
 
 
 def test_rpr_eval_examples():
-    assert np.allclose(rpr_map(np.array([[1.0]]), np.array([1.0])).eval(np.array([2.0])), [3.0])
-    assert np.allclose(rpr_map(np.eye(2), np.zeros(2)).eval(np.array([1.0, 2.0])), [1.0, 4.0])
+    z, Ax = rpr_map(np.array([[1.0]]), np.array([1.0])).eval(np.array([2.0]))
+    assert np.allclose(z, [3.0]) and np.allclose(Ax, [2.0])
+    z, Ax = rpr_map(np.eye(2), np.zeros(2)).eval(np.array([1.0, 2.0]))
+    assert np.allclose(z, [1.0, 4.0]) and np.allclose(Ax, [1.0, 2.0])
     A = np.random.default_rng(0).standard_normal((5, 3))
     x = np.array([0.5, -1.0, 2.0])
     b = (A @ x) ** 2
-    assert np.allclose(rpr_map(A, b).eval(x), 0.0)
+    z, Ax = rpr_map(A, b).eval(x)
+    assert np.allclose(z, 0.0)
+    # the linearisation is returned exactly as the residual used it
+    assert np.array_equal(z, Ax * Ax - b)
 
 
 def test_rpr_eval_shape_errors():
@@ -21,27 +26,26 @@ def test_rpr_eval_shape_errors():
         rpr_map(np.ones(2), np.zeros(1))  # A must be a matrix
     with pytest.raises(ValueError):
         rpr_map(np.eye(2), np.zeros(3))
-    m = rpr_map(np.eye(2), np.zeros(2))
-    # numpy alone would broadcast the (d, 1) point and the length-1 vector
+    m = rpr_map(np.ones((3, 2)), np.zeros(3))
+    # numpy alone would broadcast the (d, 1) point and the length-1 vectors
     for bad_x in (np.zeros(3), np.zeros((2, 1))):
         with pytest.raises(ValueError):
             m.eval(bad_x)
+    for bad in (np.ones(2), np.ones(4), np.ones(1), np.ones((3, 1))):
         with pytest.raises(ValueError):
-            m.jt_vec(bad_x, np.ones(2))
-    for bad_v in (np.ones(3), np.ones(1)):
+            m.jt_vec(bad, np.ones(3))
         with pytest.raises(ValueError):
-            m.jt_vec(np.zeros(2), bad_v)
+            m.jt_vec(np.ones(3), bad)
 
 
 def test_rpr_jt_vec_examples():
     m = rpr_map(np.eye(2), np.zeros(2))
-    assert np.allclose(m.jt_vec(np.array([1.0, 2.0]), np.zeros(2)), 0.0)
-    assert np.allclose(m.jt_vec(np.array([1.0, 2.0]), np.ones(2)), [2.0, 4.0])
-    assert np.allclose(
-        rpr_map(np.array([[1.0, 1.0]]), np.zeros(1)).jt_vec(
-            np.array([1.0, 1.0]), np.array([1.0])),
-        [4.0, 4.0],
-    )
+    _, Ax = m.eval(np.array([1.0, 2.0]))
+    assert np.allclose(m.jt_vec(Ax, np.zeros(2)), 0.0)
+    assert np.allclose(m.jt_vec(Ax, np.ones(2)), [2.0, 4.0])
+    m = rpr_map(np.array([[1.0, 1.0]]), np.zeros(1))
+    _, Ax = m.eval(np.array([1.0, 1.0]))
+    assert np.allclose(m.jt_vec(Ax, np.array([1.0])), [4.0, 4.0])
 
 
 def test_rpr_jt_vec_matches_finite_differences():
@@ -50,8 +54,8 @@ def test_rpr_jt_vec_matches_finite_differences():
     x = rng.standard_normal(4)
     v = rng.standard_normal(7)
     m = rpr_map(A, np.zeros(7))
-    got = m.jt_vec(x, v)
-    fd = fd_grad(lambda y: float(v @ m.eval(y)), x)
+    got = m.jt_vec(m.eval(x)[1], v)
+    fd = fd_grad(lambda y: float(v @ m.eval(y)[0]), x)
     assert np.allclose(got, fd, atol=1e-6)
 
 
@@ -61,9 +65,10 @@ def test_jt_vec_linearity():
     x = rng.standard_normal(3)
     v1, v2 = rng.standard_normal((2, 6))
     a, b2 = 0.7, -1.3
-    jt_vec = rpr_map(A, np.zeros(6)).jt_vec
-    lhs = jt_vec(x, a * v1 + b2 * v2)
-    rhs = a * jt_vec(x, v1) + b2 * jt_vec(x, v2)
+    m = rpr_map(A, np.zeros(6))
+    _, Ax = m.eval(x)
+    lhs = m.jt_vec(Ax, a * v1 + b2 * v2)
+    rhs = a * m.jt_vec(Ax, v1) + b2 * m.jt_vec(Ax, v2)
     assert np.allclose(lhs, rhs)
 
 
@@ -77,8 +82,8 @@ def test_directional_derivative_consistency():
         x = rng.standard_normal(5)
         u = rng.standard_normal(5)
         v = rng.standard_normal(8)
-        lhs = float(v @ (m.eval(x + h * u) - m.eval(x - h * u)) / (2 * h))
-        rhs = float(m.jt_vec(x, v) @ u)
+        lhs = float(v @ (m.eval(x + h * u)[0] - m.eval(x - h * u)[0]) / (2 * h))
+        rhs = float(m.jt_vec(m.eval(x)[1], v) @ u)
         assert abs(lhs - rhs) <= 1e-5 * (1.0 + abs(rhs))
 
 
@@ -120,7 +125,8 @@ def test_chain_rule_gradient_through_map():
         for _ in range(10):
             mu = float(rng.uniform(0.1, 1.0))
             x = draw_x_away_from_kinks(rng, loss, inst.A, m, mu)
-            _, zgrad = surrogate_at_residual(loss, m.eval(x), mu)
-            grad = m.jt_vec(x, zgrad)
-            fd = fd_grad(lambda y: surrogate_at_residual(loss, m.eval(y), mu)[0], x)
+            z, Ax = m.eval(x)
+            _, zgrad = surrogate_at_residual(loss, z, mu)
+            grad = m.jt_vec(Ax, zgrad)
+            fd = fd_grad(lambda y: surrogate_at_residual(loss, m.eval(y)[0], mu)[0], x)
             assert np.linalg.norm(fd - grad) <= 1e-5 * (1.0 + np.linalg.norm(grad))

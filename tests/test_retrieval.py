@@ -148,8 +148,8 @@ def test_cost_sign_symmetry():
     for loss in catalog_losses(45):
         for _ in range(10):
             x = rng.standard_normal(9)
-            assert loss.phi_value(m.eval(x)) == pytest.approx(
-                loss.phi_value(m.eval(-x))
+            assert loss.phi_value(m.eval(x)[0]) == pytest.approx(
+                loss.phi_value(m.eval(-x)[0])
             )
 
 

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from helpers import small_instance
+from helpers import catalog_losses, small_instance
 
 from dcvs import (
     SolverConfig,
@@ -154,9 +154,24 @@ def test_solve_armijo_holds_post_hoc():
         assert lhs <= rhs + 1e-9 * (1.0 + abs(rhs))
 
 
+def test_solve_reused_residuals_are_exact():
+    # solve evaluates the map once at x1 and then carries the accepted
+    # line-search trial over; every recorded value must equal, bit for bit,
+    # a from-scratch evaluation at the recorded iterate
+    inst, m = small_instance(seed=12, d=10, n=50)
+    cfg = SolverConfig(max_iters=60, time_cap_seconds=None, store_iterates=True)
+    for loss in catalog_losses(50):
+        rec = solve(loss, m, spectral_init(inst.A, inst.b, 12), cfg)
+        assert rec.iterations > 0
+        for i in range(rec.mus.size):
+            x = rec.iterates[i]
+            assert rec.surrogate_values[i] == surrogate_value(loss, m, x, rec.mus[i])
+            assert rec.cost_values[i] == loss.phi_value(m.eval(x)[0])
+
+
 def test_solve_map_call_counts():
-    # one residual and one transposed product per evaluated iterate, plus
-    # one residual per line-search trial
+    # one residual at x1 and one per line-search trial, the accepted trial
+    # seeding the next iterate; one transposed product per evaluated iterate
     inst, m = small_instance(seed=5, d=10, n=50)
     calls = {"eval": 0, "jt_vec": 0}
 
@@ -174,7 +189,7 @@ def test_solve_map_call_counts():
                 spectral_init(inst.A, inst.b, 5), cfg)
     assert rec.backtrack_counts.sum() > 0
     assert calls["jt_vec"] == rec.mus.size
-    assert calls["eval"] == rec.mus.size + int(np.sum(rec.backtrack_counts + 1))
+    assert calls["eval"] == 1 + int(np.sum(rec.backtrack_counts + 1))
 
 
 def test_solve_gradient_decay_on_clean_instance():
