@@ -12,6 +12,7 @@ losses.
 
 import json
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import groupby, product
@@ -168,6 +169,7 @@ def _run_trial(args):
             "loss": loss_label(spec), "params": _params_json(spec),
             "trial": trial, "seed": seed,
         }
+        t0 = time.perf_counter()
         try:
             record = solve(loss, smooth_map, x1, config.solver)
             rel, ok = success(record.x_final, inst.x_star)
@@ -178,9 +180,12 @@ def _run_trial(args):
                 seconds=record.wall_seconds, error="",
             )
         except SolverError as err:
+            # the solve failed inside step err.iteration, after
+            # err.iteration - 1 completed steps
             base.update(
-                rel_error=float("inf"), success=0, iterations=0,
-                termination="error", seconds=0.0, error=str(err),
+                rel_error=float("inf"), success=0, iterations=err.iteration - 1,
+                termination="error", seconds=time.perf_counter() - t0,
+                error=str(err),
             )
         rows.append(base)
     return rows

@@ -19,6 +19,8 @@ __all__ = (
     "moreau_value_and_grad",
 )
 
+_EPS = float(np.finfo(float).eps)
+
 
 def _require_positive(**params):
     for name, value in params.items():
@@ -119,6 +121,16 @@ def prox_topk(z, K, mu):
     ``{w : |w_i| <= mu, sum_i |w_i| <= mu*K}``.  ``K = 0`` makes the norm
     vanish, so the prox is the identity; ``K = n`` reduces to elementwise
     soft thresholding by ``mu``.
+
+    The projection clips ``|z| - theta`` to ``[0, mu]``.  The shift
+    ``theta`` is found by :func:`_clip_threshold` from one sort and one
+    prefix sum of ``|z|``, evaluating the piecewise-linear budget slack
+    only at the kinks in ``[max(t_{K+1} - mu, min(t_K - mu, t_{K+1}) -
+    2E), t_K]``, where ``t_K``, ``t_{K+1}`` are the K-th and (K+1)-th
+    largest ``|z_i|`` and ``E = (n + 8) * eps * sum|z|`` bounds the
+    roundoff of the slack.  The result is bit for bit that of evaluating
+    the slack at every kink, apart from the roundoff case that
+    :func:`_clip_threshold` sets to 0.
     """
     _require_positive(mu=mu)
     z = np.asarray(z, dtype=float)
@@ -127,46 +139,107 @@ def prox_topk(z, K, mu):
         raise ValueError(f"K must be in [0, {n}], got {K}")
     if K == 0:
         return z.copy()
-    return z - _project_box_l1(z, mu, mu * K)
+    return z - _project_box_l1(z, mu, K)
 
 
-def _clip_threshold(a, box, total):
+def _clip_threshold(a, box, K):
     """Shift ``theta >= 0`` such that ``sum_i clip(a_i - theta, 0, box)``
-    meets the l1 budget ``total``; zero when the plain box clip already
-    fits.
+    meets the l1 budget ``box*K`` (``1 <= K <= a.size``, ``a >= 0``);
+    zero when the plain box clip already fits.
 
-    The slack is piecewise linear and nonincreasing in ``theta`` with
-    kinks only at ``a_i`` and ``a_i - box``, so the crossing segment is
-    located by sorted prefix sums and the root recovered by exact linear
-    interpolation.
+    The slack ``s(theta) = sum_i clip(a_i - theta, 0, box) - box*K`` is
+    piecewise linear and nonincreasing, with kinks only at the ``a_i``
+    and ``a_i - box``.  ``theta`` is interpolated linearly between the
+    first kink whose computed slack is ``<= 0`` and the kink before it;
+    a slack is ``sum_i min(a_i, t + box) - sum_i min(a_i, t) - box*K``,
+    with each sum read off the prefix sums of the sorted ``a`` at the
+    ``searchsorted`` position of ``t``.
+
+    Only the kinks that can be that first kink are evaluated.  With
+    ``t_K >= t_{K+1}`` the K-th and (K+1)-th largest ``a_i``:
+
+    * at a kink ``>= t_K`` at most ``K - 1`` terms are nonzero, so
+      ``s <= -box``;
+    * at a kink ``<= t_{K+1} - box`` the K+1 largest terms are saturated
+      at ``box``, so ``s >= box``;
+    * below ``t_K - box`` the K largest are saturated, so
+      ``s >= min(t_{K+1} - theta, box)``.
+
+    Past the early exit every prefix sum, every ``sum_i min(a_i, t)`` and
+    ``box*K`` are at most ``sum(a)``, so each rounding moves the slack by
+    at most ``u*sum(a)``, ``u = eps/2``.  The two prefix sums read carry
+    ``n - 1`` roundings each (standard summation bound); ``t + box``, the
+    two products, the two additions, ``box*K`` and the two subtractions
+    add one each.  So the computed slack is within
+    ``(2n + 7) * u * sum(a) <= E = (n + 8) * eps * sum(a)`` of ``s``, the
+    margin covering second-order terms.  Hence when ``2E < box`` the first
+    kink with computed slack ``<= 0`` lies in
+    ``[max(t_{K+1} - box, min(t_K - box, t_{K+1}) - 2E), t_K]``.  That
+    window usually holds a handful of kinks.  The largest kink below it is
+    evaluated too, as the left end of the crossing segment.  When
+    ``2E >= box``, or for ``K = n`` (no ``t_{K+1}``), the window is every
+    kink ``>= 0``.
+
+    The full sort and prefix sum stay although the window needs a few
+    entries: the prefix sums are sequential, so their rounding, and hence
+    the bits of ``theta``, depend on the sorted order of every entry.
+    ``theta`` is bit for bit that of evaluating every kink, except where
+    the computed slack at ``theta = 0`` is already ``<= 0`` (the box-clip
+    test above and the prefix sums round differently); ``theta`` is 0
+    there.
     """
+    total = box * K
     if np.minimum(a, box).sum() <= total:
         return 0.0
 
-    kinks = np.unique(np.concatenate([a, a - box, [0.0]]))
-    kinks = kinks[kinks >= 0.0]
+    n = a.size
     a_sorted = np.sort(a)
-    prefix = np.concatenate([[0.0], np.cumsum(a_sorted)])
+    prefix = np.empty(n + 1)
+    prefix[0] = 0.0
+    np.add.accumulate(a_sorted, out=prefix[1:])
+    b_sorted = a_sorted - box  # the a_i - box kinks, also sorted
+    t_K = a_sorted.item(n - K)
+    err = (n + 8) * _EPS * prefix.item(n)
+    if K < n and 2.0 * err < box:
+        t_K1 = a_sorted.item(n - K - 1)
+        lower = max(t_K1 - box, min(t_K - box, t_K1) - 2.0 * err, 0.0)
+        upper = t_K
+    else:
+        lower, upper = 0.0, np.inf
 
-    def min_sum(t):
-        # sum_i min(a_i, t) for an array of thresholds t
-        pos = np.searchsorted(a_sorted, t)
-        return prefix[pos] + t * (a.size - pos)
+    # the window's kinks of each kind, plus that kind's largest kink below
+    # the window and smallest at or above its top (slack < 0 there, so it
+    # cannot come first), plus the kink 0.  Repeated kinks have equal
+    # slacks, so the first kink with slack <= 0 and the one before it are
+    # distinct.
+    ia, ja = a_sorted.searchsorted((lower, upper)).tolist()
+    i0, ib, jb = b_sorted.searchsorted((0.0, lower, upper)).tolist()
+    kinks = np.concatenate((
+        a_sorted[max(ia - 1, 0):ja + 1], b_sorted[max(ib - 1, i0):jb + 1], (0.0,)
+    ))
+    kinks.sort()
 
-    # clip(a - theta, 0, box) = min(a, theta + box) - min(a, theta)
-    slack = min_sum(kinks + box) - min_sum(kinks) - total
-    hi = int(np.argmax(slack <= 0.0))  # slack(0) > 0 here, slack(max a) < 0
+    # clip(a - theta, 0, box) = min(a, theta + box) - min(a, theta), with
+    # sum_i min(a_i, t) for both thresholds of every kink in one pass
+    t = np.concatenate((kinks, kinks + box))
+    pos = a_sorted.searchsorted(t)
+    min_sum = prefix[pos] + t * (n - pos)
+    w = kinks.size
+    slack = (min_sum[w:] - min_sum[:w] - total).tolist()
+    kinks = kinks.tolist()
+    hi = next((i for i, s in enumerate(slack) if s <= 0.0), 0)
+    if hi == 0:  # theta = 0 already fits (or, by roundoff, no kink does)
+        return 0.0
     lo = hi - 1
-    return float(
-        kinks[lo] + slack[lo] * (kinks[hi] - kinks[lo]) / (slack[lo] - slack[hi])
-    )
+    return kinks[lo] + slack[lo] * (kinks[hi] - kinks[lo]) / (slack[lo] - slack[hi])
 
 
-def _project_box_l1(z, box, total):
-    """Euclidean projection onto {w : |w_i| <= box, sum_i |w_i| <= total}."""
+def _project_box_l1(z, box, K):
+    """Euclidean projection onto {w : |w_i| <= box, sum_i |w_i| <= box*K}."""
     a = np.abs(z)
-    theta = _clip_threshold(a, box, total)
-    return np.sign(z) * np.clip(a - theta, 0.0, box)
+    theta = _clip_threshold(a, box, K)
+    # np.clip's values, with less call overhead
+    return np.sign(z) * np.minimum(np.maximum(a - theta, 0.0), box)
 
 
 def moreau_value_and_grad(prox_point, z, value_at_prox, mu):

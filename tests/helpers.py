@@ -53,7 +53,7 @@ def breakpoint_gap(loss, z, mu):
     elif loss.name == "trimmed_l1":
         K = loss.params["K"]
         if K > 0:
-            theta = _clip_threshold(a, mu, mu * K)
+            theta = _clip_threshold(a, mu, K)
             slack = float(np.minimum(a, mu).sum() - mu * K)
             if theta > 0.0:
                 gaps.append(float(np.min(np.abs(a - theta))))
@@ -77,3 +77,35 @@ def draw_x_away_from_kinks(rng, loss, A, smooth_map, mu, scale=1.0, h=1e-6):
         if breakpoint_gap(loss, z, mu) > margin:
             return x
     raise RuntimeError("could not find an x clear of envelope kinks")
+
+
+def clip_threshold_all_kinks(a, box, K):
+    """Reference for :func:`dcvs.prox._clip_threshold`: the same slack,
+    prefix sums and interpolation, evaluated at every kink ``>= 0``.
+
+    Returns ``(theta, wrapped)``.  ``wrapped`` is true where the computed
+    slack at the first kink (``theta = 0``) is already ``<= 0``: then
+    ``lo = hi - 1 = -1`` wraps to the largest kink and ``theta`` is a
+    roundoff-sized number of either sign, where ``_clip_threshold``
+    returns 0.
+    """
+    total = box * K
+    if np.minimum(a, box).sum() <= total:
+        return 0.0, False
+
+    kinks = np.unique(np.concatenate([a, a - box, [0.0]]))
+    kinks = kinks[kinks >= 0.0]
+    a_sorted = np.sort(a)
+    prefix = np.concatenate([[0.0], np.cumsum(a_sorted)])
+
+    def min_sum(t):
+        # sum_i min(a_i, t) for an array of thresholds t
+        pos = np.searchsorted(a_sorted, t)
+        return prefix[pos] + t * (a.size - pos)
+
+    # clip(a - theta, 0, box) = min(a, theta + box) - min(a, theta)
+    slack = min_sum(kinks + box) - min_sum(kinks) - total
+    hi = int(np.argmax(slack <= 0.0))
+    lo = hi - 1
+    theta = kinks[lo] + slack[lo] * (kinks[hi] - kinks[lo]) / (slack[lo] - slack[hi])
+    return float(theta), hi == 0

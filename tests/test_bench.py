@@ -15,7 +15,7 @@ from dcvs.bench import (
     run_sweep,
     sweep_config_from_dict,
 )
-from dcvs.solver import SolverConfig
+from dcvs.solver import SolverConfig, SolverError
 
 
 def tiny_config(**overrides):
@@ -182,6 +182,27 @@ def test_sweep_solver_error_recorded_not_raised(monkeypatch):
     assert all(r["success"] == 0 for r in result.trial_rows)
     assert all(r["error"] for r in result.trial_rows)
     assert result.summary_rows[0]["success_rate"] == 0.0
+
+
+def test_sweep_solver_error_records_steps_and_time(monkeypatch):
+    # fail inside the fifth step of the one solve: its row keeps the four
+    # completed steps and the time spent, not 0 and 0.0
+    real_backtrack = dcvs.solver.backtrack
+    calls = []
+
+    def backtrack_failing_in_step_5(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 5:
+            raise SolverError("injected line-search failure")
+        return real_backtrack(*args, **kwargs)
+
+    monkeypatch.setattr(dcvs.solver, "backtrack", backtrack_failing_in_step_5)
+    cfg = tiny_config(losses=[{"name": "l1"}], trials=1)
+    (row,) = run_sweep(cfg, workers=1).trial_rows
+    assert row["termination"] == "error"
+    assert row["error"] == "injected line-search failure"
+    assert row["iterations"] == 4
+    assert row["seconds"] > 0.0
 
 
 def test_emit_outputs_shapes(tmp_path):

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from helpers import clip_threshold_all_kinks, small_instance
 
-from dcvs import prox
+from dcvs import SolverConfig, make_loss, prox, solve, spectral_init
 from dcvs.oracle import brute_prox_1d, brute_prox_nd, fd_grad
 
 
@@ -115,6 +118,103 @@ def test_prox_topk_matches_grid_oracle():
 
         w = brute_prox_nd(value, z, mu, radius=mu + 0.02, step=2e-3)
         assert objective(p) <= objective(w) + 1e-8
+
+
+def _check_against_all_kinks(z, K, mu):
+    """``_clip_threshold`` and ``prox_topk`` equal the all-kink reference
+    bit for bit, except that a wrapped reference search gives 0.  Returns
+    the shift and whether the reference wrapped."""
+    a = np.abs(z)
+    theta_ref, wrapped = clip_threshold_all_kinks(a, mu, K)
+    expected = 0.0 if wrapped else theta_ref
+    theta = prox._clip_threshold(a, mu, K)
+    assert theta == expected, (z.tolist(), K, mu)
+    p_ref = z - np.sign(z) * np.clip(a - expected, 0.0, mu)
+    assert np.array_equal(prox.prox_topk(z, K, mu), p_ref), (z.tolist(), K, mu)
+    return theta, wrapped
+
+
+def _residual_draws(rng, count):
+    kinds = ("gauss", "cauchy", "quarters", "outliers", "plateau", "near_ties")
+    for i in range(count):
+        kind = kinds[i % len(kinds)]
+        n = 1000 if i % 200 < len(kinds) else int(rng.integers(1, 65))
+        K = int(rng.choice([1, max(n - 1, 1), n, rng.integers(1, n + 1)]))
+        mu = float(rng.choice([1.0, 0.3, 0.05, 1e-3]))
+        if kind == "gauss":
+            z = rng.standard_normal(n) * rng.choice([0.01, 1.0, 10.0])
+        elif kind == "cauchy":
+            z = 50.0 * rng.standard_cauchy(n)
+        elif kind == "quarters":
+            z = np.round(4.0 * rng.standard_normal(n)) / 4.0
+        elif kind == "outliers":
+            # tiny inliers next to huge outliers
+            z = 1e-3 * rng.standard_normal(n)
+            m = int(rng.integers(0, n + 1))
+            z[:m] = 1e3 * rng.standard_normal(m)
+        elif kind == "plateau":
+            # K residuals clear the rest by more than mu: the slack is 0
+            # on a whole interval of theta
+            z = rng.uniform(-1.0, 1.0, n)
+            gap = mu * (1.0 + rng.choice([1e-12, 0.5, 3.0]))
+            z[:K] = np.sign(z[:K]) * (1.0 + gap + rng.uniform(0.0, 2.0, K))
+        else:
+            # clusters of values one ulp apart
+            pool = rng.standard_normal(3)
+            z = pool[rng.integers(0, 3, n)]
+            nudge = rng.random(n) < 0.5
+            z[nudge] = np.nextafter(z[nudge], np.inf)
+        yield rng.permutation(z), K, mu
+
+
+def test_clip_threshold_matches_all_kink_reference():
+    rng = np.random.default_rng(8)
+    shifts = 0
+    for z, K, mu in _residual_draws(rng, 24_000):
+        theta, _ = _check_against_all_kinks(z, K, mu)
+        shifts += theta > 0.0
+    # most draws exercise the kink search, not the early exit or the wrap
+    assert shifts > 10_000
+
+
+def test_clip_threshold_matches_all_kink_reference_on_a_solve():
+    n, K = 200, 80
+    inst, smooth_map = small_instance(seed=5, d=20, n=n, p_fail=0.4)
+    loss = make_loss("trimmed_l1", n, K=K)
+    calls = []
+
+    def recording_g_prox(z, mu):
+        calls.append((np.array(z, dtype=float), mu))
+        return loss.g_prox(z, mu)
+
+    recorder = dataclasses.replace(loss, g_prox=recording_g_prox)
+    cfg = SolverConfig(max_iters=400, time_cap_seconds=None)
+    solve(recorder, smooth_map, spectral_init(inst.A, inst.b, 5), cfg)
+    assert len(calls) > 100
+    shifts = 0
+    for z, mu in calls:
+        theta, wrapped = _check_against_all_kinks(z, K, mu)
+        assert not wrapped
+        shifts += theta > 0.0
+    assert shifts > len(calls) // 2
+
+
+@pytest.mark.parametrize(
+    "z,K",
+    [
+        ([0.75, -1.0, 1.25, -0.75, -0.75, -1.0, -0.0], 6),
+        # K = n: there is no (K+1)-th largest entry to read
+        ([5.0, 10.0, 10.0, 10.0, 10.0, 10.0], 6),
+    ],
+)
+def test_clip_threshold_zero_where_first_kink_fits(z, K):
+    # the box-clip sum exceeds mu*K by roundoff, but the prefix-sum slack
+    # at theta = 0 is already <= 0; the all-kink search then read kink -1
+    # and returned a negative shift
+    a = np.abs(np.asarray(z))
+    theta_ref, wrapped = clip_threshold_all_kinks(a, 0.3, K)
+    assert wrapped and theta_ref < 0.0
+    assert prox._clip_threshold(a, 0.3, K) == 0.0
 
 
 @pytest.mark.parametrize(
