@@ -18,17 +18,14 @@ from dataclasses import dataclass, field, fields
 from itertools import groupby, product
 from typing import Optional
 
-from .losses import make_loss
+from .losses import _check_keys, loss_from_spec, loss_label, spec_params
 from .maps import rpr_map
 from .retrieval import generate_instance, spectral_init, success
 from .solver import SolverConfig, SolverError, solve, write_csv
 
 __all__ = (
-    "LOSS_SPECS",
     "SweepConfig",
     "SweepResult",
-    "loss_from_spec",
-    "loss_label",
     "run_sweep",
     "emit_outputs",
     "sweep_config_from_dict",
@@ -42,18 +39,6 @@ TRIAL_COLUMNS = (
     "d", "n", "n_over_d", "p_fail", "s", "loss", "params", "trial", "seed",
     "rel_error", "success", "iterations", "termination", "seconds", "error",
 )
-
-REQUIRED = None
-
-# The loss-spec schema, per loss name: every key a spec may carry, with its
-# default (REQUIRED when it must be given), and the label template used in
-# file names and CSV rows.  Any other key is rejected.
-LOSS_SPECS = {
-    "l1": ({}, "l1"),
-    "mcp": ({"lambda": 1.0, "beta": REQUIRED}, "mcp_lam{lambda:g}_beta{beta:g}"),
-    "capped_l1": ({"beta": REQUIRED}, "capped_l1_beta{beta:g}"),
-    "trimmed_l1": ({"K_over_n": REQUIRED}, "trimmed_l1_Kn{K_over_n:g}"),
-}
 
 
 @dataclass
@@ -97,54 +82,6 @@ class SweepResult:
     summary_rows: list  # dicts keyed by SUMMARY_COLUMNS, cell-major order
 
 
-def _spec_params(spec):
-    """Check a loss spec against :data:`LOSS_SPECS`; return its name and
-    every parameter as a float, defaults filled in."""
-    name = spec.get("name") if isinstance(spec, dict) else None
-    if name not in LOSS_SPECS:
-        raise ValueError(f"loss spec {spec!r}: name must be one of {tuple(LOSS_SPECS)}")
-    keys = LOSS_SPECS[name][0]
-    _check_keys(f"loss spec {spec!r}", spec, {"name", *keys},
-                required=[k for k, default in keys.items() if default is REQUIRED])
-    return name, {k: float(spec.get(k, default)) for k, default in keys.items()}
-
-
-def loss_from_spec(spec, n):
-    """Build a catalog loss from a spec like
-    ``{"name": "trimmed_l1", "K_over_n": 0.4}``.
-
-    MCP takes ``beta`` and optionally ``lambda``; capped l1 takes
-    ``beta``; trimmed l1 takes ``K_over_n``, rounded to a count ``K`` for
-    residual dimension ``n``.  See :data:`LOSS_SPECS`.
-    """
-    name, p = _spec_params(spec)
-    if name == "mcp":
-        return make_loss(name, n, lam=p["lambda"], beta=p["beta"])
-    if name == "capped_l1":
-        return make_loss(name, n, beta=p["beta"])
-    if name == "trimmed_l1":
-        return make_loss(name, n, K=int(round(p["K_over_n"] * n)))
-    return make_loss(name, n)
-
-
-def loss_label(spec):
-    """Short deterministic label for file names and CSV rows."""
-    name, p = _spec_params(spec)
-    return LOSS_SPECS[name][1].format(**p)
-
-
-def _check_keys(what, keys, allowed, required=()):
-    unknown = sorted(set(keys) - set(allowed))
-    missing = sorted(set(required) - set(keys))
-    if unknown or missing:
-        raise ValueError(f"{what}: unknown keys {unknown}, missing keys "
-                         f"{missing} (allowed: {sorted(allowed)})")
-
-
-def _params_json(spec):
-    return json.dumps({k: v for k, v in sorted(spec.items()) if k != "name"})
-
-
 def _run_trial(args):
     """One (cell, trial) work item: a fresh instance, a shared initial
     point, one solve per loss.  Returns plain-dict rows (picklable)."""
@@ -163,10 +100,12 @@ def _run_trial(args):
     rows = []
     for loss_idx, spec in enumerate(config.losses):
         loss = loss_from_spec(spec, n)
+        # the normalised parameters, so that 1000 and 1000.0 write one cell
+        params = dict(sorted(spec_params(spec)[1].items()))
         base = {
             "cell_idx": cell_idx, "loss_idx": loss_idx,
             "d": d, "n": n, "n_over_d": nd, "p_fail": p_fail, "s": s_val,
-            "loss": loss_label(spec), "params": _params_json(spec),
+            "loss": loss_label(spec), "params": json.dumps(params),
             "trial": trial, "seed": seed,
         }
         t0 = time.perf_counter()

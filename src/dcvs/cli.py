@@ -5,6 +5,7 @@ import json
 import sys
 
 from . import bench
+from .losses import loss_from_spec, loss_label
 from .maps import rpr_map
 from .retrieval import (
     generate_instance,
@@ -33,7 +34,7 @@ def _cmd_solve(args):
     inst = load_instance(args.instance)
     n = inst.b.size
     spec = json.loads(args.loss)
-    loss = bench.loss_from_spec(spec, n)
+    loss = loss_from_spec(spec, n)
     smooth_map = rpr_map(inst.A, inst.b)
     time_cap = args.time_cap if args.time_cap > 0 else None
     config = SolverConfig(
@@ -45,7 +46,7 @@ def _cmd_solve(args):
     x1 = spectral_init(inst.A, inst.b, init_seed)
     record = solve(loss, smooth_map, x1, config)
     rel, ok = success(record.x_final, inst.x_star)
-    print(f"loss={bench.loss_label(spec)} iterations={record.iterations} "
+    print(f"loss={loss_label(spec)} iterations={record.iterations} "
           f"termination={record.termination} wall={record.wall_seconds:.3f}s")
     print(f"final cost={record.final_cost:.6g} rel_error={rel:.3e} success={ok}")
     if args.trace:

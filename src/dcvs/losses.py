@@ -1,16 +1,19 @@
 """Catalog of difference-of-convex loss functions on residual vectors.
 
-Every loss is ``phi = f - g`` with convex, Lipschitz, prox-friendly parts:
+Every loss is ``phi = f - g`` with convex, Lipschitz, prox-friendly parts.
+Every catalog loss has ``f = lam*||.||_1``, with ``lam = 1`` except for
+the MCP; only ``g`` differs:
 
-* ``l1``          — ``f = ||.||_1``, ``g = 0``
-* ``mcp``         — ``f = lam*||.||_1``, ``g = sum of Huber terms``
-* ``capped_l1``   — ``f = ||.||_1``, ``g = sum max(|z_i| - beta, 0)``
-* ``trimmed_l1``  — ``f = ||.||_1``, ``g = top-K norm`` (drops the K
-  largest residuals from the penalty)
+* ``l1``          — ``g = 0``
+* ``mcp``         — ``g = sum of Huber terms``
+* ``capped_l1``   — ``g = sum max(|z_i| - beta, 0)``
+* ``trimmed_l1``  — ``g = top-K norm`` (drops the K largest residuals
+  from the penalty)
 
 A :class:`DcLoss` bundles the value/prox callables together with the
 Lipschitz constants used by the test-suite bounds.  Envelope scales are
-admissible up to :data:`MU_MAX`.
+admissible up to :data:`MU_MAX`.  :data:`LOSS_SPECS` is the one table of
+loss names and of the JSON loss specs that the CLI and sweeps take.
 """
 
 from dataclasses import dataclass, field
@@ -28,9 +31,24 @@ from .prox import (
     topk_value,
 )
 
-__all__ = ("DcLoss", "LOSS_NAMES", "MU_MAX", "make_loss", "surrogate_at_residual")
+__all__ = ("DcLoss", "LOSS_SPECS", "MU_MAX", "loss_from_spec", "loss_label",
+           "make_loss", "spec_params", "surrogate_at_residual")
 
-LOSS_NAMES = ("l1", "mcp", "capped_l1", "trimmed_l1")
+REQUIRED = None
+
+# The loss-spec schema, per loss name: every key a spec may carry, with its
+# default (REQUIRED when it must be given), the label template used in
+# file names and CSV rows, and the make_loss arguments that the spec's
+# parameters stand for at residual dimension n.  Any other key is rejected.
+LOSS_SPECS = {
+    "l1": ({}, "l1", lambda p, n: {}),
+    "mcp": ({"lambda": 1.0, "beta": REQUIRED}, "mcp_lam{lambda:g}_beta{beta:g}",
+            lambda p, n: {"lam": p["lambda"], "beta": p["beta"]}),
+    "capped_l1": ({"beta": REQUIRED}, "capped_l1_beta{beta:g}",
+                  lambda p, n: {"beta": p["beta"]}),
+    "trimmed_l1": ({"K_over_n": REQUIRED}, "trimmed_l1_Kn{K_over_n:g}",
+                   lambda p, n: {"K": int(round(p["K_over_n"] * n))}),
+}
 
 # Largest admissible smoothing scale, 1/(2*eta) at the smoothing cap eta = 0.5.
 MU_MAX = 1.0
@@ -54,10 +72,6 @@ class DcLoss:
         return self.f_value(z) - self.g_value(z)
 
 
-def _l1_value(z):
-    return float(np.abs(z).sum())
-
-
 def make_loss(name, n, lam=1.0, beta=None, K=None):
     """Build a catalog loss for residual dimension ``n``.
 
@@ -68,55 +82,81 @@ def make_loss(name, n, lam=1.0, beta=None, K=None):
     if n < 1:
         raise ValueError("n must be at least 1")
     sqrt_n = float(np.sqrt(n))
+    # f = lam*||.||_1 for every loss; lam is a parameter of the MCP only
+    lam = lam if name == "mcp" else 1.0
 
     if name == "l1":
-        return DcLoss(
-            name="l1", params={},
-            f_value=_l1_value,
-            g_value=lambda z: 0.0,
-            f_prox=lambda z, mu: prox_scaled_abs(z, mu, 1.0),
-            g_prox=lambda z, mu: np.asarray(z, dtype=float).copy(),
-            L_f=sqrt_n, L_g=0.0,
-        )
-
-    if name == "mcp":
+        params, L_g = {}, 0.0
+        g_value = lambda z: 0.0
+        g_prox = lambda z, mu: np.asarray(z, dtype=float).copy()
+    elif name == "mcp":
         if not (lam > 0 and beta is not None and beta > 0):
             raise ValueError("mcp needs lam > 0 and beta > 0")
-        return DcLoss(
-            name="mcp", params={"lam": float(lam), "beta": float(beta)},
-            f_value=lambda z, _l=lam: _l * _l1_value(z),
-            g_value=lambda z, _l=lam, _b=beta: float(np.sum(huber_value(z, _l, _b))),
-            f_prox=lambda z, mu, _l=lam: prox_scaled_abs(z, mu, _l),
-            g_prox=lambda z, mu, _l=lam, _b=beta: prox_huber(z, _l, _b, mu),
-            L_f=lam * sqrt_n, L_g=lam * sqrt_n,
-        )
-
-    if name == "capped_l1":
+        params, L_g = {"lam": float(lam), "beta": float(beta)}, lam * sqrt_n
+        g_value = lambda z: float(np.sum(huber_value(z, lam, beta)))
+        g_prox = lambda z, mu: prox_huber(z, lam, beta, mu)
+    elif name == "capped_l1":
         if beta is None or not beta > 0:
             raise ValueError("capped_l1 needs beta > 0")
-        return DcLoss(
-            name="capped_l1", params={"beta": float(beta)},
-            f_value=_l1_value,
-            g_value=lambda z, _b=beta: float(np.maximum(np.abs(z) - _b, 0.0).sum()),
-            f_prox=lambda z, mu: prox_scaled_abs(z, mu, 1.0),
-            g_prox=lambda z, mu, _b=beta: prox_capped_complement(z, _b, mu),
-            L_f=sqrt_n, L_g=sqrt_n,
-        )
-
-    if name == "trimmed_l1":
+        params, L_g = {"beta": float(beta)}, sqrt_n
+        g_value = lambda z: float(np.maximum(np.abs(z) - beta, 0.0).sum())
+        g_prox = lambda z, mu: prox_capped_complement(z, beta, mu)
+    elif name == "trimmed_l1":
         if K is None or not 0 <= int(K) < n:
             raise ValueError(f"trimmed_l1 needs 0 <= K < n, got K={K}, n={n}")
         K = int(K)
-        return DcLoss(
-            name="trimmed_l1", params={"K": K},
-            f_value=_l1_value,
-            g_value=lambda z, _k=K: topk_value(z, _k),
-            f_prox=lambda z, mu: prox_scaled_abs(z, mu, 1.0),
-            g_prox=lambda z, mu, _k=K: prox_topk(z, _k, mu),
-            L_f=sqrt_n, L_g=float(np.sqrt(K)),
-        )
+        params, L_g = {"K": K}, float(np.sqrt(K))
+        g_value = lambda z: topk_value(z, K)
+        g_prox = lambda z, mu: prox_topk(z, K, mu)
+    else:
+        raise ValueError(f"unknown loss {name!r}; choose one of {tuple(LOSS_SPECS)}")
 
-    raise ValueError(f"unknown loss {name!r}; choose one of {LOSS_NAMES}")
+    return DcLoss(
+        name=name, params=params,
+        f_value=lambda z: lam * float(np.abs(z).sum()),
+        g_value=g_value,
+        f_prox=lambda z, mu: prox_scaled_abs(z, mu, lam),
+        g_prox=g_prox,
+        L_f=lam * sqrt_n, L_g=L_g,
+    )
+
+
+def _check_keys(what, keys, allowed, required=()):
+    unknown = sorted(set(keys) - set(allowed))
+    missing = sorted(set(required) - set(keys))
+    if unknown or missing:
+        raise ValueError(f"{what}: unknown keys {unknown}, missing keys "
+                         f"{missing} (allowed: {sorted(allowed)})")
+
+
+def spec_params(spec):
+    """Check a loss spec against :data:`LOSS_SPECS`; return its name and
+    every parameter as a float, defaults filled in."""
+    name = spec.get("name") if isinstance(spec, dict) else None
+    if name not in LOSS_SPECS:
+        raise ValueError(f"loss spec {spec!r}: name must be one of {tuple(LOSS_SPECS)}")
+    keys = LOSS_SPECS[name][0]
+    _check_keys(f"loss spec {spec!r}", spec, {"name", *keys},
+                required=[k for k, default in keys.items() if default is REQUIRED])
+    return name, {k: float(spec.get(k, default)) for k, default in keys.items()}
+
+
+def loss_from_spec(spec, n):
+    """Build a catalog loss from a spec like
+    ``{"name": "trimmed_l1", "K_over_n": 0.4}``.
+
+    MCP takes ``beta`` and optionally ``lambda``; capped l1 takes
+    ``beta``; trimmed l1 takes ``K_over_n``, rounded to a count ``K`` for
+    residual dimension ``n``.  See :data:`LOSS_SPECS`.
+    """
+    name, p = spec_params(spec)
+    return make_loss(name, n, **LOSS_SPECS[name][2](p, n))
+
+
+def loss_label(spec):
+    """Short deterministic label for file names and CSV rows."""
+    name, p = spec_params(spec)
+    return LOSS_SPECS[name][1].format(**p)
 
 
 def surrogate_at_residual(loss, z, mu):

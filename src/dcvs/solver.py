@@ -153,15 +153,15 @@ def surrogate_value(loss, smooth_map, x, mu):
     return value
 
 
-def backtrack(eval_Fk, x, Fk_x, grad, gamma_init, rho, c,
-              max_backtracks=MAX_BACKTRACKS):
+def backtrack(eval_Fk, x, Fk_x, grad, gamma_init, rho, c):
     """Armijo backtracking along the negative gradient.
 
     Returns the largest ``gamma in {gamma_init * rho^j}`` with
     ``F_k(x - gamma*grad) <= F_k(x) - c*gamma*||grad||^2`` together with
     the number of shrinkages.  The gradient must be nonzero (a stationary
-    point admits no line search); a hard cap on shrinkages turns
-    floating-point pathologies into a loud failure instead of a hang.
+    point admits no line search); a hard cap of :data:`MAX_BACKTRACKS`
+    shrinkages turns floating-point pathologies into a loud failure
+    instead of a hang.
     """
     grad = np.asarray(grad, dtype=float)
     g2 = float(np.dot(grad, grad))
@@ -174,9 +174,9 @@ def backtrack(eval_Fk, x, Fk_x, grad, gamma_init, rho, c,
     while eval_Fk(x - gamma * grad) > Fk_x - c * gamma * g2:
         gamma *= rho
         count += 1
-        if count > max_backtracks:
+        if count > MAX_BACKTRACKS:
             raise SolverError(
-                f"Armijo backtracking exceeded {max_backtracks} shrinkages"
+                f"Armijo backtracking exceeded {MAX_BACKTRACKS} shrinkages"
             )
     return gamma, count
 
@@ -205,10 +205,7 @@ def solve(loss, smooth_map, x1, config=None):
     mus, f_vals, grad_norms, costs = [], [], [], []
     gammas, gamma_inits, backtracks = [], [], []
     iterates = [] if cfg.store_iterates else None
-    gamma_prev = None
-    prev_cost = None
     termination = None
-    stepped_last = False
     trial = None  # the line search's last trial point: (y, S(y), Ay)
 
     # one residual serves the surrogate, the gradient and the true cost
@@ -231,23 +228,21 @@ def solve(loss, smooth_map, x1, config=None):
         if iterates is not None:
             iterates.append(x.copy())
 
-        if prev_cost is not None:
+        if len(costs) > 1:
+            prev_cost = costs[-2]
             change = abs(cost - prev_cost)
             # exact-fit instances drive the denominator to zero; fall back
             # to the absolute change there
             rel = change if abs(prev_cost) < 1e-300 else change / abs(prev_cost)
             if rel < cfg.rel_tol:
                 termination = "rel_tol"
-                stepped_last = False
                 break
-        prev_cost = cost
 
         if gn == 0.0:
             termination = "stationary"
-            stepped_last = False
             break
 
-        ginit = max(1.0, 1.0 / gn) if gamma_prev is None else gamma_prev
+        ginit = gammas[-1] if gammas else max(1.0, 1.0 / gn)
 
         def eval_Fk(y, _mu=mu):
             nonlocal trial
@@ -256,9 +251,7 @@ def solve(loss, smooth_map, x1, config=None):
             return surrogate_at_residual(loss, z_y, _mu)[0]
 
         try:
-            gamma, nbt = backtrack(
-                eval_Fk, x, Fk, grad, ginit, cfg.rho, cfg.c, MAX_BACKTRACKS
-            )
+            gamma, nbt = backtrack(eval_Fk, x, Fk, grad, ginit, cfg.rho, cfg.c)
         except SolverError as err:
             err.iteration = k
             raise
@@ -269,8 +262,6 @@ def solve(loss, smooth_map, x1, config=None):
         gammas.append(gamma)
         gamma_inits.append(ginit)
         backtracks.append(nbt)
-        gamma_prev = gamma
-        stepped_last = True
 
         if k >= cfg.max_iters:
             termination = "max_iters"
@@ -282,7 +273,8 @@ def solve(loss, smooth_map, x1, config=None):
             termination = "time_cap"
             break
 
-    if iterates is not None and stepped_last:
+    # a run that ended on a step has not recorded the iterate it stepped to
+    if iterates is not None and len(gammas) == len(mus):
         iterates.append(x.copy())
 
     return RunRecord(

@@ -10,11 +10,10 @@ from dcvs.bench import (
     SweepConfig,
     SweepResult,
     emit_outputs,
-    loss_from_spec,
-    loss_label,
     run_sweep,
     sweep_config_from_dict,
 )
+from dcvs.losses import loss_from_spec, loss_label
 from dcvs.solver import SolverConfig, SolverError
 
 
@@ -111,11 +110,15 @@ def test_loss_specs_checked_at_every_n():
 
 def test_direct_and_loaded_configs_write_the_same_csvs(tmp_path):
     # SweepConfig normalises numbers itself: p_fail=[0] writes 0.0 however
-    # the config was built
+    # the config was built, and a loss spec's params column holds its
+    # normalised parameters, so beta=1000 and beta=1000.0 write one cell
     raw = {"d": 8, "n_over_d": [5], "p_fail": [0, 0.2], "trials": 1,
-           "base_seed": 7, "losses": [{"name": "l1"}],
+           "base_seed": 7,
+           "losses": [{"name": "l1"}, {"name": "capped_l1", "beta": 1000}],
            "solver": {"max_iters": 40, "time_cap_seconds": None}}
-    direct = SweepConfig(**{**raw, "solver": SolverConfig(**raw["solver"])})
+    direct = SweepConfig(**{**raw, "solver": SolverConfig(**raw["solver"]),
+                            "losses": [{"name": "l1"},
+                                       {"name": "capped_l1", "beta": 1000.0}]})
     for tag, cfg in (("direct", direct), ("loaded", sweep_config_from_dict(raw))):
         emit_outputs(run_sweep(cfg, workers=1), tmp_path / tag)
     names = sorted(p.name for p in (tmp_path / "direct").iterdir())

@@ -15,6 +15,7 @@ from dcvs import (
     spectral_init,
     surrogate_oracle,
 )
+import dcvs.solver
 from dcvs.solver import SolverError, surrogate_value, write_trace
 
 
@@ -82,10 +83,11 @@ def test_backtrack_zero_gradient_rejected():
         backtrack(lambda z: 0.0, np.array([1.0]), 1.0, np.array([0.0]), 1.0, 0.8, 1e-4)
 
 
-def test_backtrack_cap_is_loud():
+def test_backtrack_cap_is_loud(monkeypatch):
+    monkeypatch.setattr(dcvs.solver, "MAX_BACKTRACKS", 20)
     with pytest.raises(SolverError):
         backtrack(lambda z: np.inf, np.array([1.0]), 1.0, np.array([1.0]),
-                  1.0, 0.8, 1e-4, max_backtracks=20)
+                  1.0, 0.8, 1e-4)
 
 
 def test_backtrack_below_descent_threshold_accepts_first():
