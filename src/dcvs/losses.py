@@ -22,13 +22,13 @@ from typing import Callable
 import numpy as np
 
 from .prox import (
-    huber_value,
-    moreau_value_and_grad,
-    prox_capped_complement,
-    prox_huber,
-    prox_scaled_abs,
-    prox_topk,
-    topk_value,
+    _huber_value,
+    _moreau_step,
+    _prox_capped_complement,
+    _prox_huber,
+    _prox_scaled_abs,
+    _prox_topk,
+    _topk_value,
 )
 
 __all__ = ("DcLoss", "LOSS_SPECS", "MU_MAX", "loss_from_spec", "loss_label",
@@ -77,37 +77,41 @@ def make_loss(name, n, lam=1.0, beta=None, K=None):
 
     ``lam``/``beta`` parametrize the MCP, ``beta`` alone the capped l1,
     and ``K`` (number of ignored largest residuals, ``0 <= K < n``) the
-    trimmed l1.
+    trimmed l1; a parameter the loss does not take is rejected.  They are
+    checked here once, and the closures call the :mod:`dcvs.prox` kernels.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    taken = {"mcp": ("lam", "beta"), "capped_l1": ("beta",), "trimmed_l1": ("K",)}
+    given = {"lam": lam != 1.0, "beta": beta is not None, "K": K is not None}
+    unused = [key for key, on in given.items() if on and key not in taken.get(name, ())]
+    if unused and name in LOSS_SPECS:
+        raise ValueError(f"{name} takes no {', '.join(unused)}")
     sqrt_n = float(np.sqrt(n))
-    # f = lam*||.||_1 for every loss; lam is a parameter of the MCP only
-    lam = lam if name == "mcp" else 1.0
 
     if name == "l1":
         params, L_g = {}, 0.0
         g_value = lambda z: 0.0
-        g_prox = lambda z, mu: np.asarray(z, dtype=float).copy()
+        g_prox = lambda z, mu: z.copy()
     elif name == "mcp":
         if not (lam > 0 and beta is not None and beta > 0):
             raise ValueError("mcp needs lam > 0 and beta > 0")
         params, L_g = {"lam": float(lam), "beta": float(beta)}, lam * sqrt_n
-        g_value = lambda z: float(np.sum(huber_value(z, lam, beta)))
-        g_prox = lambda z, mu: prox_huber(z, lam, beta, mu)
+        g_value = lambda z: float(_huber_value(z, lam, beta).sum())
+        g_prox = lambda z, mu: _prox_huber(z, lam, beta, mu)
     elif name == "capped_l1":
         if beta is None or not beta > 0:
             raise ValueError("capped_l1 needs beta > 0")
         params, L_g = {"beta": float(beta)}, sqrt_n
         g_value = lambda z: float(np.maximum(np.abs(z) - beta, 0.0).sum())
-        g_prox = lambda z, mu: prox_capped_complement(z, beta, mu)
+        g_prox = lambda z, mu: _prox_capped_complement(z, beta, mu)
     elif name == "trimmed_l1":
         if K is None or not 0 <= int(K) < n:
             raise ValueError(f"trimmed_l1 needs 0 <= K < n, got K={K}, n={n}")
         K = int(K)
         params, L_g = {"K": K}, float(np.sqrt(K))
-        g_value = lambda z: topk_value(z, K)
-        g_prox = lambda z, mu: prox_topk(z, K, mu)
+        g_value = lambda z: _topk_value(z, K)
+        g_prox = lambda z, mu: _prox_topk(z, K, mu)
     else:
         raise ValueError(f"unknown loss {name!r}; choose one of {tuple(LOSS_SPECS)}")
 
@@ -115,7 +119,7 @@ def make_loss(name, n, lam=1.0, beta=None, K=None):
         name=name, params=params,
         f_value=lambda z: lam * float(np.abs(z).sum()),
         g_value=g_value,
-        f_prox=lambda z, mu: prox_scaled_abs(z, mu, lam),
+        f_prox=lambda z, mu: _prox_scaled_abs(z, mu, lam),
         g_prox=g_prox,
         L_f=lam * sqrt_n, L_g=L_g,
     )
@@ -159,18 +163,20 @@ def loss_label(spec):
     return LOSS_SPECS[name][1].format(**p)
 
 
-def surrogate_at_residual(loss, z, mu):
+def surrogate_at_residual(loss, z, mu, grad=True):
     """Smoothed loss value and gradient at the residual ``z``.
 
     Returns ``(f_env - g_env, grad_f_env - grad_g_env)`` where each
-    envelope term comes from the corresponding prox at scale ``mu``.
-    Requires ``0 < mu <= MU_MAX``.
+    envelope term comes from the corresponding prox at scale ``mu``; with
+    ``grad=False``, only the value ``f_env - g_env``, for line-search
+    trials.  ``mu`` is checked here, ``0 < mu <= MU_MAX``; the loss's own
+    parameters were checked by :func:`make_loss`.
     """
     if not 0.0 < mu <= MU_MAX * (1.0 + 1e-12):
         raise ValueError(f"mu must lie in (0, {MU_MAX}], got {mu}")
     z = np.asarray(z, dtype=float)
     pf = loss.f_prox(z, mu)
-    f_env, f_grad = moreau_value_and_grad(pf, z, loss.f_value(pf), mu)
+    f_env, f_step = _moreau_step(pf, z, loss.f_value(pf), mu)
     pg = loss.g_prox(z, mu)
-    g_env, g_grad = moreau_value_and_grad(pg, z, loss.g_value(pg), mu)
-    return f_env - g_env, f_grad - g_grad
+    g_env, g_step = _moreau_step(pg, z, loss.g_value(pg), mu)
+    return (f_env - g_env, f_step / mu - g_step / mu) if grad else f_env - g_env

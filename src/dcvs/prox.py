@@ -4,6 +4,10 @@ The scalar operators accept floats or numpy arrays and act elementwise.
 Each closed form here is independently cross-checked against the
 brute-force grid oracles in :mod:`dcvs.oracle` by the test suite, so the
 formulas are never trusted on their own.
+
+Each operator the loss closures use is a checked public wrapper over a
+``_``-prefixed kernel that holds the formula and that the closures call
+directly; of the kernels, only the top-K ones check ``K`` (vs ``z.size``).
 """
 
 import numpy as np
@@ -45,7 +49,10 @@ def prox_scaled_abs(t, mu, lam):
         Weight of the absolute value, positive.
     """
     _require_positive(mu=mu, lam=lam)
-    t = np.asarray(t, dtype=float)
+    return _prox_scaled_abs(np.asarray(t, dtype=float), mu, lam)
+
+
+def _prox_scaled_abs(t, mu, lam):
     return np.sign(t) * np.maximum(np.abs(t) - mu * lam, 0.0)
 
 
@@ -57,7 +64,10 @@ def huber_value(t, lam, beta):
     and the concave-correction part ``g`` of the MCP decomposition.
     """
     _require_positive(lam=lam, beta=beta)
-    t = np.asarray(t, dtype=float)
+    return _huber_value(np.asarray(t, dtype=float), lam, beta)
+
+
+def _huber_value(t, lam, beta):
     a = np.abs(t)
     return np.where(a <= beta * lam, t * t / (2.0 * beta), lam * a - beta * lam**2 / 2.0)
 
@@ -82,7 +92,10 @@ def prox_huber(t, lam, beta, mu):
     the linear branch; the two branches agree at the boundary.
     """
     _require_positive(lam=lam, beta=beta, mu=mu)
-    t = np.asarray(t, dtype=float)
+    return _prox_huber(np.asarray(t, dtype=float), lam, beta, mu)
+
+
+def _prox_huber(t, lam, beta, mu):
     a = np.abs(t)
     return np.where(a <= (beta + mu) * lam, beta / (beta + mu) * t, t - mu * lam * np.sign(t))
 
@@ -95,7 +108,10 @@ def prox_capped_complement(t, beta, mu):
     ``beta < |t| <= beta + mu``, and shifts by ``mu`` toward zero beyond.
     """
     _require_positive(beta=beta, mu=mu)
-    t = np.asarray(t, dtype=float)
+    return _prox_capped_complement(np.asarray(t, dtype=float), beta, mu)
+
+
+def _prox_capped_complement(t, beta, mu):
     a = np.abs(t)
     s = np.sign(t)
     return np.where(a <= beta, t, np.where(a <= beta + mu, s * beta, t - mu * s))
@@ -103,14 +119,16 @@ def prox_capped_complement(t, beta, mu):
 
 def topk_value(z, K):
     """Sum of the K largest absolute entries of ``z`` (the top-K norm)."""
-    z = np.asarray(z, dtype=float)
+    return _topk_value(np.asarray(z, dtype=float), K)
+
+
+def _topk_value(z, K):
     n = z.size
     if not 0 <= K <= n:
         raise ValueError(f"K must be in [0, {n}], got {K}")
     if K == 0:
         return 0.0
-    a = np.abs(z)
-    return float(np.partition(a, n - K)[n - K:].sum())
+    return float(np.partition(np.abs(z), n - K)[n - K:].sum())
 
 
 def prox_topk(z, K, mu):
@@ -133,10 +151,12 @@ def prox_topk(z, K, mu):
     :func:`_clip_threshold` sets to 0.
     """
     _require_positive(mu=mu)
-    z = np.asarray(z, dtype=float)
-    n = z.size
-    if not 0 <= K <= n:
-        raise ValueError(f"K must be in [0, {n}], got {K}")
+    return _prox_topk(np.asarray(z, dtype=float), K, mu)
+
+
+def _prox_topk(z, K, mu):
+    if not 0 <= K <= z.size:
+        raise ValueError(f"K must be in [0, {z.size}], got {K}")
     if K == 0:
         return z.copy()
     return z - _project_box_l1(z, mu, K)
@@ -250,8 +270,11 @@ def moreau_value_and_grad(prox_point, z, value_at_prox, mu):
     value ``psi(p) + ||p - z||^2/(2*mu)`` and its gradient ``(z - p)/mu``.
     """
     _require_positive(mu=mu)
-    prox_point = np.asarray(prox_point, dtype=float)
-    z = np.asarray(z, dtype=float)
-    diff = z - prox_point
-    value = float(value_at_prox) + float(np.sum(diff * diff)) / (2.0 * mu)
+    value, diff = _moreau_step(np.asarray(prox_point, dtype=float),
+                               np.asarray(z, dtype=float), float(value_at_prox), mu)
     return value, diff / mu
+
+
+def _moreau_step(prox_point, z, value_at_prox, mu):
+    diff = z - prox_point
+    return value_at_prox + float((diff * diff).sum()) / (2.0 * mu), diff

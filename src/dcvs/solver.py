@@ -74,10 +74,12 @@ class SolverConfig:
         if mu_schedule(1, self.eta, self.alpha) > MU_MAX * (1.0 + 1e-12):
             raise ValueError(f"schedule exceeds the smoothing cap {MU_MAX}: "
                              f"need eta >= {1.0 / (2.0 * MU_MAX)}")
-        if self.rel_tol < 0.0:
+        if not self.rel_tol >= 0.0:  # false for NaN too
             raise ValueError("rel_tol must be nonnegative")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
+            raise ValueError("max_iters must be an integer >= 1")
+        if self.time_cap_seconds is not None and not self.time_cap_seconds > 0.0:
+            raise ValueError("time_cap_seconds must be positive or None")
 
 
 @dataclass
@@ -149,8 +151,7 @@ def surrogate_value(loss, smooth_map, x, mu):
     """Value of the smoothed composite only (no gradient), evaluated
     from scratch at ``x``."""
     z, _ = smooth_map.eval(np.asarray(x, dtype=float))
-    value, _ = surrogate_at_residual(loss, z, mu)
-    return value
+    return surrogate_at_residual(loss, z, mu, grad=False)
 
 
 def backtrack(eval_Fk, x, Fk_x, grad, gamma_init, rho, c):
@@ -248,7 +249,7 @@ def solve(loss, smooth_map, x1, config=None):
             nonlocal trial
             z_y, Ax_y = smooth_map.eval(y)
             trial = (y, z_y, Ax_y)
-            return surrogate_at_residual(loss, z_y, _mu)[0]
+            return surrogate_at_residual(loss, z_y, _mu, grad=False)
 
         try:
             gamma, nbt = backtrack(eval_Fk, x, Fk, grad, ginit, cfg.rho, cfg.c)

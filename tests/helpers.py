@@ -5,7 +5,14 @@ checks."""
 import numpy as np
 
 from dcvs import generate_instance, make_loss, rpr_map
-from dcvs.prox import _clip_threshold
+from dcvs.prox import (
+    _clip_threshold,
+    moreau_value_and_grad,
+    prox_capped_complement,
+    prox_huber,
+    prox_scaled_abs,
+    prox_topk,
+)
 
 
 def catalog_losses(n):
@@ -109,3 +116,23 @@ def clip_threshold_all_kinks(a, box, K):
     lo = hi - 1
     theta = kinks[lo] + slack[lo] * (kinks[hi] - kinks[lo]) / (slack[lo] - slack[hi])
     return float(theta), hi == 0
+
+
+def surrogate_reference(loss, z, mu):
+    """Reference for :func:`dcvs.surrogate_at_residual`, composed from the
+    checked public operators: each part's prox from :mod:`dcvs.prox`, the
+    loss's value at that prox, and :func:`dcvs.prox.moreau_value_and_grad`.
+    Returns ``(value, gradient)``."""
+    p = loss.params
+    lam = p.get("lam", 1.0)
+    g_prox = {
+        "l1": lambda: np.asarray(z, dtype=float).copy(),
+        "mcp": lambda: prox_huber(z, lam, p.get("beta"), mu),
+        "capped_l1": lambda: prox_capped_complement(z, p.get("beta"), mu),
+        "trimmed_l1": lambda: prox_topk(z, p.get("K"), mu),
+    }[loss.name]
+    pf = prox_scaled_abs(z, mu, lam)
+    f_env, f_grad = moreau_value_and_grad(pf, z, loss.f_value(pf), mu)
+    pg = g_prox()
+    g_env, g_grad = moreau_value_and_grad(pg, z, loss.g_value(pg), mu)
+    return f_env - g_env, f_grad - g_grad

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import breakpoint_gap, catalog_losses
+from helpers import breakpoint_gap, catalog_losses, surrogate_reference
 
 from dcvs import make_loss, surrogate_at_residual
 from dcvs.losses import MU_MAX
@@ -25,6 +25,17 @@ def test_make_loss_validation():
         make_loss("trimmed_l1", 4, K=4)
     with pytest.raises(ValueError):
         make_loss("unknown", 4)
+    # a parameter the named loss does not take is an error, not ignored
+    for name, kwargs in [("capped_l1", {"lam": 5.0, "beta": 1.0}),
+                         ("l1", {"K": 3, "beta": 2.0}), ("l1", {"lam": 2.0}),
+                         ("trimmed_l1", {"K": 1, "beta": 1.0}),
+                         ("trimmed_l1", {"K": 1, "lam": 0.5}),
+                         ("mcp", {"beta": 1.0, "K": 1}),
+                         ("capped_l1", {"beta": 1.0, "K": 1})]:
+        with pytest.raises(ValueError, match="takes no"):
+            make_loss(name, 10, **kwargs)
+    # the default lam, as any spec-built loss passes it, is accepted
+    assert make_loss("capped_l1", 10, lam=1.0, beta=1.0).L_f == make_loss("l1", 10).L_f
 
 
 def test_constants():
@@ -72,6 +83,32 @@ def test_g_and_phi_nonnegative():
             z = rng.standard_normal(n) * rng.uniform(0.1, 10.0)
             assert loss.g_value(z) >= 0.0
             assert loss.phi_value(z) >= 0.0
+
+
+def test_surrogate_matches_checked_reference():
+    # surrogate_at_residual runs the unchecked kernels with the Moreau step
+    # inlined; it must give the bits of the checked public composition, with
+    # and without the gradient, on residuals with exact zeros, ties at both
+    # signs, values on the kinks and huge outliers
+    rng = np.random.default_rng(7)
+    n = 40
+    losses = catalog_losses(n) + [make_loss("trimmed_l1", n, K=0)]
+    for _ in range(60):
+        drawn_mu = float(rng.uniform(1e-6, MU_MAX))
+        z = rng.standard_normal(n) * rng.uniform(0.1, 5.0)
+        z[rng.integers(0, n, 4)] = 0.0
+        z[rng.integers(0, n, 3)] = z[0]
+        z[rng.integers(0, n, 3)] = -z[1]
+        z[rng.integers(0, n, 2)] = drawn_mu
+        z[rng.integers(0, n, 2)] = -1.5  # the capped_l1 kink, beta = 1.5
+        z[rng.integers(0, n, 3)] *= 1e12
+        for mu in (MU_MAX, 0.5, 1e-3, drawn_mu):
+            for loss in losses:
+                ref_value, ref_grad = surrogate_reference(loss, z, mu)
+                value, grad = surrogate_at_residual(loss, z, mu)
+                assert value == ref_value, (loss.name, mu)
+                assert np.array_equal(grad, ref_grad), (loss.name, mu)
+                assert surrogate_at_residual(loss, z, mu, grad=False) == ref_value
 
 
 def test_surrogate_trivial_cases():

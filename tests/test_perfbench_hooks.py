@@ -9,9 +9,11 @@ import dataclasses
 import importlib.util
 from pathlib import Path
 
+from helpers import catalog_losses, small_instance
+
 import dcvs.bench
 import dcvs.solver
-from dcvs import DcLoss, SmoothMap
+from dcvs import DcLoss, SmoothMap, SolverConfig, solve, spectral_init
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -48,3 +50,34 @@ def test_perfbench_workload_calls_exist():
             ("bench", "emit_outputs")} <= used
     assert [f"{root}.{attr}" for root, attr in sorted(used)
             if not hasattr(roots[root], attr)] == []
+
+
+def test_loss_fields_carry_every_evaluation():
+    # the traced run times prox.* and losses.* by wrapping these DcLoss
+    # fields; a surrogate that bypassed them would zero those metrics
+    inst, m = small_instance(seed=4, d=12, n=72, p_fail=0.3)
+    x1 = spectral_init(inst.A, inst.b, 4)
+    cfg = SolverConfig(max_iters=400, time_cap_seconds=None)
+    backtracked, ends = 0, set()
+    for loss in catalog_losses(72):
+        calls = dict.fromkeys(("f_prox", "g_prox", "f_value", "g_value"), 0)
+
+        def counted(field, fn):
+            def call(*args):
+                calls[field] += 1
+                return fn(*args)
+            return call
+
+        rec = solve(dataclasses.replace(
+            loss, **{f: counted(f, getattr(loss, f)) for f in calls}), m, x1, cfg)
+        # one surrogate per evaluated iterate and per line-search trial; the
+        # true cost phi = f - g adds one value call per evaluated iterate
+        evaluations = rec.mus.size + rec.iterations + int(rec.backtrack_counts.sum())
+        assert calls == {"f_prox": evaluations, "g_prox": evaluations,
+                         "f_value": evaluations + rec.mus.size,
+                         "g_value": evaluations + rec.mus.size}, loss.name
+        backtracked += int(rec.backtrack_counts.sum())
+        ends.add(rec.termination)
+    # runs that end on the stopping test (one more evaluation than steps)
+    # and on the budget are both counted
+    assert backtracked > 0 and ends == {"rel_tol", "max_iters"}

@@ -242,6 +242,15 @@ def test_solver_config_validation():
         with pytest.raises(ValueError):
             SolverConfig(eta=eta)
     assert SolverConfig(eta=0.5).eta == 0.5
+    # a NaN rel_tol would never stop, a non-positive time cap would stop
+    # after one step and a NaN one never, and the budget counts steps
+    for bad in ({"rel_tol": float("nan")}, {"rel_tol": -1e-9},
+                {"time_cap_seconds": -1.0}, {"time_cap_seconds": 0.0},
+                {"time_cap_seconds": float("nan")},
+                {"max_iters": 2.5}, {"max_iters": 3.0}, {"max_iters": 0}):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
+    assert SolverConfig(max_iters=np.int64(7), time_cap_seconds=None).max_iters == 7
 
 
 def test_write_trace_round_trip(tmp_path):
