@@ -22,13 +22,13 @@ from typing import Callable
 import numpy as np
 
 from .prox import (
-    _huber_value,
     _moreau_step,
-    _prox_capped_complement,
-    _prox_huber,
-    _prox_scaled_abs,
-    _prox_topk,
-    _topk_value,
+    huber_value,
+    prox_capped_complement,
+    prox_huber,
+    prox_scaled_abs,
+    prox_topk,
+    topk_value,
 )
 
 __all__ = ("DcLoss", "LOSS_SPECS", "MU_MAX", "loss_from_spec", "loss_label",
@@ -56,10 +56,12 @@ MU_MAX = 1.0
 
 @dataclass(frozen=True)
 class DcLoss:
-    """A DC pair (f, g) with prox access and its analysis constants."""
+    """A DC pair (f, g) on residuals of dimension ``n``, with prox access
+    and its analysis constants."""
 
     name: str
     params: dict
+    n: int
     f_value: Callable = field(repr=False)
     g_value: Callable = field(repr=False)
     f_prox: Callable = field(repr=False)
@@ -76,9 +78,9 @@ def make_loss(name, n, lam=1.0, beta=None, K=None):
     """Build a catalog loss for residual dimension ``n``.
 
     ``lam``/``beta`` parametrize the MCP, ``beta`` alone the capped l1,
-    and ``K`` (number of ignored largest residuals, ``0 <= K < n``) the
-    trimmed l1; a parameter the loss does not take is rejected.  They are
-    checked here once, and the closures call the :mod:`dcvs.prox` kernels.
+    and ``K`` (the integer number of ignored largest residuals,
+    ``0 <= K < n``) the trimmed l1; a parameter the loss does not take is
+    rejected.  The closures call the :mod:`dcvs.prox` functions.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -97,29 +99,29 @@ def make_loss(name, n, lam=1.0, beta=None, K=None):
         if not (lam > 0 and beta is not None and beta > 0):
             raise ValueError("mcp needs lam > 0 and beta > 0")
         params, L_g = {"lam": float(lam), "beta": float(beta)}, lam * sqrt_n
-        g_value = lambda z: float(_huber_value(z, lam, beta).sum())
-        g_prox = lambda z, mu: _prox_huber(z, lam, beta, mu)
+        g_value = lambda z: float(huber_value(z, lam, beta).sum())
+        g_prox = lambda z, mu: prox_huber(z, lam, beta, mu)
     elif name == "capped_l1":
         if beta is None or not beta > 0:
             raise ValueError("capped_l1 needs beta > 0")
         params, L_g = {"beta": float(beta)}, sqrt_n
         g_value = lambda z: float(np.maximum(np.abs(z) - beta, 0.0).sum())
-        g_prox = lambda z, mu: _prox_capped_complement(z, beta, mu)
+        g_prox = lambda z, mu: prox_capped_complement(z, beta, mu)
     elif name == "trimmed_l1":
-        if K is None or not 0 <= int(K) < n:
-            raise ValueError(f"trimmed_l1 needs 0 <= K < n, got K={K}, n={n}")
+        if not (isinstance(K, (int, np.integer)) and 0 <= K < n):
+            raise ValueError(f"trimmed_l1 needs an integer 0 <= K < n, got K={K}, n={n}")
         K = int(K)
         params, L_g = {"K": K}, float(np.sqrt(K))
-        g_value = lambda z: _topk_value(z, K)
-        g_prox = lambda z, mu: _prox_topk(z, K, mu)
+        g_value = lambda z: topk_value(z, K)
+        g_prox = lambda z, mu: prox_topk(z, K, mu)
     else:
         raise ValueError(f"unknown loss {name!r}; choose one of {tuple(LOSS_SPECS)}")
 
     return DcLoss(
-        name=name, params=params,
+        name=name, params=params, n=n,
         f_value=lambda z: lam * float(np.abs(z).sum()),
         g_value=g_value,
-        f_prox=lambda z, mu: _prox_scaled_abs(z, mu, lam),
+        f_prox=lambda z, mu: prox_scaled_abs(z, mu, lam),
         g_prox=g_prox,
         L_f=lam * sqrt_n, L_g=L_g,
     )
@@ -169,8 +171,7 @@ def surrogate_at_residual(loss, z, mu, grad=True):
     Returns ``(f_env - g_env, grad_f_env - grad_g_env)`` where each
     envelope term comes from the corresponding prox at scale ``mu``; with
     ``grad=False``, only the value ``f_env - g_env``, for line-search
-    trials.  ``mu`` is checked here, ``0 < mu <= MU_MAX``; the loss's own
-    parameters were checked by :func:`make_loss`.
+    trials.  ``mu`` must lie in ``(0, MU_MAX]``.
     """
     if not 0.0 < mu <= MU_MAX * (1.0 + 1e-12):
         raise ValueError(f"mu must lie in (0, {MU_MAX}], got {mu}")

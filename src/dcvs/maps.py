@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = (
     "SmoothMap",
-    "rpr_lip_ds",
     "rpr_map",
 )
 
@@ -33,17 +32,6 @@ class SmoothMap:
     out_dim: int
     eval: Callable
     jt_vec: Callable
-
-
-def rpr_lip_ds(A):
-    """Lipschitz constant ``2 sqrt(sum_i ||a_i||^4)`` of the derivative of
-    the quadratic residual map (rows ``a_i``)."""
-    A = np.asarray(A, dtype=float)
-    row_sq = np.sum(A * A, axis=1)
-    out = 2.0 * float(np.sqrt(np.sum(row_sq**2)))
-    if out == 0.0:
-        raise ValueError("A must be nonzero")
-    return out
 
 
 def rpr_map(A, b):

@@ -5,9 +5,9 @@ Each closed form here is independently cross-checked against the
 brute-force grid oracles in :mod:`dcvs.oracle` by the test suite, so the
 formulas are never trusted on their own.
 
-Each operator the loss closures use is a checked public wrapper over a
-``_``-prefixed kernel that holds the formula and that the closures call
-directly; of the kernels, only the top-K ones check ``K`` (vs ``z.size``).
+Each formula is written once, in the checked public function that the
+loss closures call.  A check costs one comparison when it passes, and
+rejects a non-positive or NaN scale and a ``K`` outside ``[0, z.size]``.
 """
 
 import numpy as np
@@ -27,6 +27,9 @@ _EPS = float(np.finfo(float).eps)
 
 
 def _require_positive(**params):
+    """Raise for the first of ``params`` that is not positive (NaN
+    included).  The functions on the solver's path compare first and call
+    this only to build the message."""
     for name, value in params.items():
         if not value > 0:
             raise ValueError(f"{name} must be positive, got {value!r}")
@@ -48,11 +51,9 @@ def prox_scaled_abs(t, mu, lam):
     lam : float
         Weight of the absolute value, positive.
     """
-    _require_positive(mu=mu, lam=lam)
-    return _prox_scaled_abs(np.asarray(t, dtype=float), mu, lam)
-
-
-def _prox_scaled_abs(t, mu, lam):
+    if not (mu > 0 and lam > 0):
+        _require_positive(mu=mu, lam=lam)
+    t = np.asarray(t, dtype=float)
     return np.sign(t) * np.maximum(np.abs(t) - mu * lam, 0.0)
 
 
@@ -63,11 +64,9 @@ def huber_value(t, lam, beta):
     This is also the Moreau envelope of ``lam * |.|`` at scale ``beta``,
     and the concave-correction part ``g`` of the MCP decomposition.
     """
-    _require_positive(lam=lam, beta=beta)
-    return _huber_value(np.asarray(t, dtype=float), lam, beta)
-
-
-def _huber_value(t, lam, beta):
+    if not (lam > 0 and beta > 0):
+        _require_positive(lam=lam, beta=beta)
+    t = np.asarray(t, dtype=float)
     a = np.abs(t)
     return np.where(a <= beta * lam, t * t / (2.0 * beta), lam * a - beta * lam**2 / 2.0)
 
@@ -91,11 +90,9 @@ def prox_huber(t, lam, beta, mu):
     branch (``|t| <= (beta+mu)*lam``) and soft-thresholds by ``mu*lam`` on
     the linear branch; the two branches agree at the boundary.
     """
-    _require_positive(lam=lam, beta=beta, mu=mu)
-    return _prox_huber(np.asarray(t, dtype=float), lam, beta, mu)
-
-
-def _prox_huber(t, lam, beta, mu):
+    if not (lam > 0 and beta > 0 and mu > 0):
+        _require_positive(lam=lam, beta=beta, mu=mu)
+    t = np.asarray(t, dtype=float)
     a = np.abs(t)
     return np.where(a <= (beta + mu) * lam, beta / (beta + mu) * t, t - mu * lam * np.sign(t))
 
@@ -107,11 +104,9 @@ def prox_capped_complement(t, beta, mu):
     Identity inside ``[-beta, beta]``, clamps to ``sign(t)*beta`` for
     ``beta < |t| <= beta + mu``, and shifts by ``mu`` toward zero beyond.
     """
-    _require_positive(beta=beta, mu=mu)
-    return _prox_capped_complement(np.asarray(t, dtype=float), beta, mu)
-
-
-def _prox_capped_complement(t, beta, mu):
+    if not (beta > 0 and mu > 0):
+        _require_positive(beta=beta, mu=mu)
+    t = np.asarray(t, dtype=float)
     a = np.abs(t)
     s = np.sign(t)
     return np.where(a <= beta, t, np.where(a <= beta + mu, s * beta, t - mu * s))
@@ -119,10 +114,7 @@ def _prox_capped_complement(t, beta, mu):
 
 def topk_value(z, K):
     """Sum of the K largest absolute entries of ``z`` (the top-K norm)."""
-    return _topk_value(np.asarray(z, dtype=float), K)
-
-
-def _topk_value(z, K):
+    z = np.asarray(z, dtype=float)
     n = z.size
     if not 0 <= K <= n:
         raise ValueError(f"K must be in [0, {n}], got {K}")
@@ -150,16 +142,17 @@ def prox_topk(z, K, mu):
     the slack at every kink, apart from the roundoff case that
     :func:`_clip_threshold` sets to 0.
     """
-    _require_positive(mu=mu)
-    return _prox_topk(np.asarray(z, dtype=float), K, mu)
-
-
-def _prox_topk(z, K, mu):
+    if not mu > 0:
+        _require_positive(mu=mu)
+    z = np.asarray(z, dtype=float)
     if not 0 <= K <= z.size:
         raise ValueError(f"K must be in [0, {z.size}], got {K}")
     if K == 0:
         return z.copy()
-    return z - _project_box_l1(z, mu, K)
+    a = np.abs(z)
+    theta = _clip_threshold(a, mu, K)
+    # np.clip's values, with less call overhead
+    return z - np.sign(z) * np.minimum(np.maximum(a - theta, 0.0), mu)
 
 
 def _clip_threshold(a, box, K):
@@ -252,14 +245,6 @@ def _clip_threshold(a, box, K):
         return 0.0
     lo = hi - 1
     return kinks[lo] + slack[lo] * (kinks[hi] - kinks[lo]) / (slack[lo] - slack[hi])
-
-
-def _project_box_l1(z, box, K):
-    """Euclidean projection onto {w : |w_i| <= box, sum_i |w_i| <= box*K}."""
-    a = np.abs(z)
-    theta = _clip_threshold(a, box, K)
-    # np.clip's values, with less call overhead
-    return np.sign(z) * np.minimum(np.maximum(a - theta, 0.0), box)
 
 
 def moreau_value_and_grad(prox_point, z, value_at_prox, mu):

@@ -201,6 +201,9 @@ def solve(loss, smooth_map, x1, config=None):
         raise ValueError(f"x1 must have shape ({smooth_map.in_dim},), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("x1 must be finite")
+    if loss.n != smooth_map.out_dim:
+        raise ValueError(f"loss is built for {loss.n} residuals, the map has "
+                         f"{smooth_map.out_dim}")
 
     t0 = time.perf_counter()
     mus, f_vals, grad_norms, costs = [], [], [], []

@@ -23,6 +23,11 @@ def test_make_loss_validation():
         make_loss("capped_l1", 4)
     with pytest.raises(ValueError):
         make_loss("trimmed_l1", 4, K=4)
+    # a non-integral K is rejected, not truncated
+    for K in (2.5, 2.0):
+        with pytest.raises(ValueError):
+            make_loss("trimmed_l1", 10, K=K)
+    assert make_loss("trimmed_l1", 10, K=np.int64(2)).params == {"K": 2}
     with pytest.raises(ValueError):
         make_loss("unknown", 4)
     # a parameter the named loss does not take is an error, not ignored
@@ -86,10 +91,10 @@ def test_g_and_phi_nonnegative():
 
 
 def test_surrogate_matches_checked_reference():
-    # surrogate_at_residual runs the unchecked kernels with the Moreau step
-    # inlined; it must give the bits of the checked public composition, with
-    # and without the gradient, on residuals with exact zeros, ties at both
-    # signs, values on the kinks and huge outliers
+    # surrogate_at_residual runs the Moreau step inlined; it must give the
+    # bits of the checked public composition, with and without the
+    # gradient, on residuals with exact zeros, ties at both signs, values on
+    # the kinks and huge outliers
     rng = np.random.default_rng(7)
     n = 40
     losses = catalog_losses(n) + [make_loss("trimmed_l1", n, K=0)]

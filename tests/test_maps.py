@@ -3,7 +3,6 @@ import pytest
 from helpers import catalog_losses, draw_x_away_from_kinks
 
 from dcvs import generate_instance, rpr_map, surrogate_at_residual
-from dcvs.maps import rpr_lip_ds
 from dcvs.oracle import fd_grad
 
 
@@ -85,36 +84,6 @@ def test_directional_derivative_consistency():
         lhs = float(v @ (m.eval(x + h * u)[0] - m.eval(x - h * u)[0]) / (2 * h))
         rhs = float(m.jt_vec(m.eval(x)[1], v) @ u)
         assert abs(lhs - rhs) <= 1e-5 * (1.0 + abs(rhs))
-
-
-def test_rpr_lip_ds_values():
-    assert rpr_lip_ds(np.array([[1.0, 1.0]])) == pytest.approx(4.0)
-    assert rpr_lip_ds(np.eye(2)) == pytest.approx(2.0 * np.sqrt(2.0))
-    assert rpr_lip_ds(np.array([[1.0, 0.0], [0.0, 0.0]])) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        rpr_lip_ds(np.zeros((2, 2)))
-
-
-def test_empirical_derivative_lipschitz_bound():
-    # operator norm of DS(x) - DS(y), estimated by power iteration from
-    # below, stays under rpr_lip_ds(A) * ||x - y||
-    rng = np.random.default_rng(4)
-    A = rng.standard_normal((30, 8))
-    L = rpr_lip_ds(A)
-    for _ in range(20):
-        x = rng.standard_normal(8)
-        y = rng.standard_normal(8)
-        delta = A @ (x - y)
-        v = rng.standard_normal(8)
-        v /= np.linalg.norm(v)
-        for _ in range(50):
-            w = 2.0 * A.T @ (delta * (2.0 * delta * (A @ v)))
-            nw = np.linalg.norm(w)
-            if nw == 0:
-                break
-            v = w / nw
-        sigma = np.linalg.norm(2.0 * delta * (A @ v))
-        assert sigma <= L * np.linalg.norm(x - y) * (1.0 + 1e-6)
 
 
 def test_chain_rule_gradient_through_map():

@@ -74,6 +74,28 @@ def test_parameter_validation():
         prox.prox_topk(np.ones(3), -1, 1.0)
     with pytest.raises(ValueError):
         prox.moreau_value_and_grad(1.0, 1.0, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        prox.huber_value(1.0, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        prox.huber_value(1.0, -1.0, 1.0)
+    with pytest.raises(ValueError):
+        prox.topk_value(np.ones(3), -1)
+    with pytest.raises(ValueError):
+        prox.topk_value(np.ones(3), 4)
+    # NaN fails every scale check (a check written ``mu <= 0`` would pass it)
+    nan = float("nan")
+    for call in (lambda: prox.prox_scaled_abs(1.0, nan, 1.0),
+                 lambda: prox.prox_scaled_abs(1.0, 1.0, nan),
+                 lambda: prox.huber_value(1.0, nan, 1.0),
+                 lambda: prox.huber_value(1.0, 1.0, nan),
+                 lambda: prox.prox_huber(1.0, nan, 1.0, 1.0),
+                 lambda: prox.prox_huber(1.0, 1.0, nan, 1.0),
+                 lambda: prox.prox_huber(1.0, 1.0, 1.0, nan),
+                 lambda: prox.prox_capped_complement(1.0, nan, 1.0),
+                 lambda: prox.prox_capped_complement(1.0, 1.0, nan),
+                 lambda: prox.prox_topk(np.ones(3), 1, nan)):
+        with pytest.raises(ValueError, match="must be positive, got nan"):
+            call()
 
 
 def test_prox_topk_values():

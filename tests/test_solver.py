@@ -224,6 +224,10 @@ def test_solve_validates_inputs():
         solve(loss, m, np.full(5, np.nan), SolverConfig())
     with pytest.raises(ValueError):
         solve(loss, m, np.zeros(4), SolverConfig())
+    with pytest.raises(ValueError, match="residuals"):
+        # a loss built for another residual dimension
+        solve(make_loss("trimmed_l1", 50, K=10), m, np.zeros(5),
+              SolverConfig(max_iters=5))
     with pytest.raises(ValueError):
         # schedule starts above the loss smoothing cap
         solve(loss, m, np.zeros(5), SolverConfig(eta=0.25))
