@@ -8,8 +8,6 @@ from .retrieval import (
     generate_instance,
     kappa_fn_for_loss,
     kappa_mu,
-    load_instance,
-    save_instance,
     spectral_init,
     success,
 )
@@ -37,11 +35,9 @@ __all__ = (
     "generate_instance",
     "kappa_fn_for_loss",
     "kappa_mu",
-    "load_instance",
     "make_loss",
     "mu_schedule",
     "rpr_map",
-    "save_instance",
     "solve",
     "spectral_init",
     "success",

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .losses import _check_keys, loss_from_spec, loss_label, spec_params
 from .maps import rpr_map
-from .retrieval import generate_instance, spectral_init, success
+from .retrieval import _check_instance_args, generate_instance, spectral_init, success
 from .solver import SolverConfig, SolverError, solve, write_csv
 
 __all__ = (
@@ -64,8 +64,13 @@ class SweepConfig:
             raise ValueError("all grids and the loss list must be nonempty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        # dry-build every loss at every n of the grid, so that a bad entry
-        # fails here and not mid-sweep
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
+        # check every cell's instance and dry-build every loss at every n of
+        # the grid, so that a bad entry fails here and not mid-sweep
+        for nd, p_fail, s_val in self.cells():
+            _check_instance_args(self.d, self.d * nd, p_fail, s_val,
+                                 self.outlier_kind, self.noise_variance)
         for spec in self.losses:
             for nd in self.n_over_d:
                 loss_from_spec(spec, self.d * nd)
@@ -139,6 +144,8 @@ def run_sweep(config, workers=None):
     as an unsuccessful trial, and never aborts the sweep.  ``workers``
     is the process count; ``None`` or 0 runs serially in this process.
     """
+    if workers is not None and workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
     workers = max(1, int(workers)) if workers else 1
     items = [
         (cell_idx, nd, p_fail, s_val, trial, config)
@@ -209,16 +216,24 @@ def emit_outputs(result, out_dir):
     return written
 
 
+def _integral(v):
+    """``v`` as an int: ``5.0`` passes as 5, ``5.5`` is an error."""
+    i = int(v)
+    if i != v:
+        raise ValueError(f"expected an integer, got {v!r}")
+    return i
+
+
 # Field coercions applied by SweepConfig, so that CSV text does not depend
 # on whether a config wrote 0 or 0.0, or on how the config was built.
 _CONFIG_CASTS = {
-    "d": int,
-    "n_over_d": lambda v: [int(x) for x in v],
+    "d": _integral,
+    "n_over_d": lambda v: [_integral(x) for x in v],
     "p_fail": lambda v: [float(x) for x in v],
     "s": lambda v: [float(x) for x in v],
     "losses": list,
-    "trials": int,
-    "base_seed": int,
+    "trials": _integral,
+    "base_seed": _integral,
     "noise_variance": float,
 }
 

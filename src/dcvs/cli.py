@@ -1,4 +1,4 @@
-"""Command-line driver: instance generation, single solves and sweeps."""
+"""Command-line driver: single seeded solves and sweeps."""
 
 import argparse
 import json
@@ -7,44 +7,26 @@ import sys
 from . import bench
 from .losses import loss_from_spec, loss_label
 from .maps import rpr_map
-from .retrieval import (
-    generate_instance,
-    load_instance,
-    save_instance,
-    spectral_init,
-    success,
-)
+from .retrieval import OUTLIER_KINDS, generate_instance, spectral_init, success
 from .solver import SolverConfig, solve, write_trace
 
 
-def _cmd_gen(args):
+def _cmd_solve(args):
+    spec = json.loads(args.loss)
+    loss = loss_from_spec(spec, args.n)
+    config = SolverConfig(
+        rel_tol=args.rel_tol,
+        max_iters=args.max_iters,
+        time_cap_seconds=None if args.time_cap <= 0 else args.time_cap,
+    )
     inst = generate_instance(
         args.d, args.n, args.p_fail, args.s,
         outlier_kind=args.outlier_kind,
         noise_variance=args.noise_variance,
         seed=args.seed,
     )
-    save_instance(inst, args.out)
-    print(f"wrote {args.out}: d={args.d} n={args.n} "
-          f"outliers={inst.outlier_idx.size} seed={args.seed}")
-    return 0
-
-
-def _cmd_solve(args):
-    inst = load_instance(args.instance)
-    n = inst.b.size
-    spec = json.loads(args.loss)
-    loss = loss_from_spec(spec, n)
-    smooth_map = rpr_map(inst.A, inst.b)
-    time_cap = args.time_cap if args.time_cap > 0 else None
-    config = SolverConfig(
-        rel_tol=args.rel_tol,
-        max_iters=args.max_iters,
-        time_cap_seconds=time_cap,
-    )
-    init_seed = args.init_seed if args.init_seed is not None else inst.params.seed
-    x1 = spectral_init(inst.A, inst.b, init_seed)
-    record = solve(loss, smooth_map, x1, config)
+    x1 = spectral_init(inst.A, inst.b, args.seed)
+    record = solve(loss, rpr_map(inst.A, inst.b), x1, config)
     rel, ok = success(record.x_final, inst.x_star)
     print(f"loss={loss_label(spec)} iterations={record.iterations} "
           f"termination={record.termination} wall={record.wall_seconds:.3f}s")
@@ -83,19 +65,15 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate an instance file")
+    p = sub.add_parser("solve", help="generate one seeded instance and solve it")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p-fail", type=float, default=0.0)
     p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--outlier-kind", choices=("cauchy", "uniform"), default="cauchy")
+    p.add_argument("--outlier-kind", choices=OUTLIER_KINDS, default="cauchy")
     p.add_argument("--noise-variance", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("solve", help="solve one instance file")
-    p.add_argument("--instance", required=True)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the instance and of the spectral initializer")
     p.add_argument("--loss", required=True,
                    help='JSON spec, e.g. \'{"name": "trimmed_l1", "K_over_n": 0.4}\'; '
                         "unknown keys are rejected")
@@ -104,9 +82,6 @@ def build_parser():
     p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
     p.add_argument("--time-cap", type=float, default=SolverConfig.time_cap_seconds,
                    help="wall-clock cap in seconds; <= 0 disables it")
-    p.add_argument("--init-seed", type=int, default=None,
-                   help="seed for the spectral initializer "
-                        "(defaults to the instance seed)")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("sweep", help="run a success-rate sweep from a JSON config")

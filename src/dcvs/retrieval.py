@@ -8,35 +8,20 @@ PCG64 generator (``numpy.random.default_rng``) with a fixed draw order,
 so an instance is a pure function of its parameters and seed.
 """
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = (
-    "GenParams",
     "Instance",
     "generate_instance",
     "spectral_init",
     "success",
     "kappa_mu",
     "kappa_fn_for_loss",
-    "save_instance",
-    "load_instance",
 )
 
 OUTLIER_KINDS = ("cauchy", "uniform")
-
-
-@dataclass(frozen=True)
-class GenParams:
-    d: int
-    n: int
-    p_fail: float
-    s: float
-    outlier_kind: str
-    noise_variance: float
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -47,19 +32,11 @@ class Instance:
     b: np.ndarray
     x_star: np.ndarray
     outlier_idx: np.ndarray
-    params: GenParams
 
 
-def generate_instance(d, n, p_fail, s, outlier_kind="cauchy",
-                      noise_variance=1e-6, seed=0):
-    """Draw one instance, bit-reproducible from ``seed``.
-
-    Draw order: ``A`` (n*d standard normals), ``x*`` (d uniforms mapped
-    to +-1), noise (n normals), outlier positions (choice without
-    replacement), outlier uniforms ``u_i``.  Outlier values are
-    ``s*M*tan(0.5*pi*u)`` (cauchy) or ``s*M*u`` (uniform) with ``M`` the
-    largest clean measurement; they replace the affected entries.
-    """
+def _check_instance_args(d, n, p_fail, s, outlier_kind, noise_variance):
+    """Check :func:`generate_instance`'s parameters; return the outlier
+    count ``round(p_fail * n)``."""
     if not (n >= d >= 1):
         raise ValueError(f"need n >= d >= 1, got n={n}, d={d}")
     if not 0.0 <= p_fail < 1.0:
@@ -73,7 +50,20 @@ def generate_instance(d, n, p_fail, s, outlier_kind="cauchy",
     n_out = int(round(p_fail * n))
     if n_out >= n:
         raise ValueError(f"round(p_fail*n) = {n_out} leaves no inliers")
+    return n_out
 
+
+def generate_instance(d, n, p_fail, s, outlier_kind="cauchy",
+                      noise_variance=1e-6, seed=0):
+    """Draw one instance, bit-reproducible from ``seed``.
+
+    Draw order: ``A`` (n*d standard normals), ``x*`` (d uniforms mapped
+    to +-1), noise (n normals), outlier positions (choice without
+    replacement), outlier uniforms ``u_i``.  Outlier values are
+    ``s*M*tan(0.5*pi*u)`` (cauchy) or ``s*M*u`` (uniform) with ``M`` the
+    largest clean measurement; they replace the affected entries.
+    """
+    n_out = _check_instance_args(d, n, p_fail, s, outlier_kind, noise_variance)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, d))
     x_star = np.where(rng.random(d) < 0.5, 1.0, -1.0)
@@ -90,12 +80,8 @@ def generate_instance(d, n, p_fail, s, outlier_kind="cauchy",
         else:
             xi = s * M * u
         b[outlier_idx] = xi
-
-    params = GenParams(d=d, n=n, p_fail=float(p_fail), s=float(s),
-                       outlier_kind=outlier_kind,
-                       noise_variance=float(noise_variance), seed=int(seed))
     return Instance(A=A, b=b, x_star=x_star,
-                    outlier_idx=outlier_idx.astype(np.int64), params=params)
+                    outlier_idx=outlier_idx.astype(np.int64))
 
 
 SPECTRAL_CAP_MULTIPLE = 3.0
@@ -113,8 +99,8 @@ def spectral_init(A, b, seed):
     dropping large measurements keeps the direction informative on clean
     data (where the largest measurements carry most of the signal) while
     bounding what any single outlier can contribute.  Degenerate inputs
-    (no usable measurements or an identically zero form) fall back to a
-    seeded random unit direction with radius
+    (no measurement inside ``[0, tau]``, or an identically zero form)
+    fall back to a seeded random unit direction with radius
     ``sqrt(max(median(|b|), 1e-12))``.  The power-iteration start vector
     is drawn from ``default_rng([seed, 1])``.
     """
@@ -130,8 +116,9 @@ def spectral_init(A, b, seed):
     med = float(np.median(np.abs(b)))
     tau = SPECTRAL_CAP_MULTIPLE * med
     keep = b >= 0.0
+    inside = keep & (b <= tau)
     weights = np.minimum(b[keep], tau)
-    degenerate = not keep.any() or not np.any(weights)
+    degenerate = not inside.any() or not np.any(weights)
     if not degenerate:
         Ak = A[keep]
         Y = Ak.T @ (weights[:, None] * Ak) / n
@@ -146,7 +133,6 @@ def spectral_init(A, b, seed):
         if norm_w == 0.0:
             break
         v = w / norm_w
-    inside = (b >= 0.0) & (b <= tau)
     r = float(np.sqrt(np.median(b[inside])))
     return r * v
 
@@ -201,28 +187,3 @@ def kappa_fn_for_loss(A, b, loss):
     lam = loss.params.get("lam", 1.0)
     L_g = loss.L_g
     return lambda mu: kappa_mu(A, b, lam, L_g, mu)
-
-
-def save_instance(instance, path):
-    """Write an instance to a ``.npz`` container; round-trips bit-exactly."""
-    np.savez(
-        path,
-        A=instance.A,
-        b=instance.b,
-        x_star=instance.x_star,
-        outlier_idx=instance.outlier_idx,
-        gen_params=json.dumps(asdict(instance.params), sort_keys=True),
-    )
-
-
-def load_instance(path):
-    """Read an instance written by :func:`save_instance`."""
-    with np.load(path, allow_pickle=False) as data:
-        params = GenParams(**json.loads(str(data["gen_params"])))
-        return Instance(
-            A=data["A"],
-            b=data["b"],
-            x_star=data["x_star"],
-            outlier_idx=data["outlier_idx"],
-            params=params,
-        )

@@ -97,6 +97,18 @@ def test_config_validation():
         tiny_config(p_fail=[])
     with pytest.raises(ValueError):
         tiny_config(losses=[{"name": "capped_l1"}])  # missing beta
+    # counts must be integral, and the base seed nonnegative
+    for bad in ({"trials": 2.5}, {"d": 8.7}, {"n_over_d": [5.5]},
+                {"base_seed": 1.5}, {"base_seed": -1}):
+        with pytest.raises(ValueError):
+            tiny_config(**bad)
+    cfg = tiny_config(d=8.0, n_over_d=[5.0], trials=2.0, base_seed=7.0)
+    assert [type(v) for v in (cfg.d, *cfg.n_over_d, cfg.trials, cfg.base_seed)] == [int] * 4
+    # instance arguments are checked for every cell (n = 40 here)
+    for bad in ({"p_fail": [0.2, 1.5]}, {"s": [0.0]}, {"noise_variance": -1},
+                {"outlier_kind": "gauss"}, {"p_fail": [0.99]}):
+        with pytest.raises(ValueError):
+            tiny_config(**bad)
 
 
 def test_loss_specs_checked_at_every_n():
@@ -156,6 +168,11 @@ def test_sweep_deterministic_across_workers(tmp_path):
         a = (tmp_path / "w1" / name).read_text(encoding="utf-8")
         b = (tmp_path / "w2" / name).read_text(encoding="utf-8")
         assert strip_timing(a) == strip_timing(b), name
+
+
+def test_run_sweep_rejects_negative_workers():
+    with pytest.raises(ValueError):
+        run_sweep(tiny_config(), workers=-1)
 
 
 def test_sweep_grid_permutation_leaves_trials_unchanged():

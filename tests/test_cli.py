@@ -1,27 +1,26 @@
 import json
 
-import numpy as np
 import pytest
 from helpers import BAD_LOSS_SPECS
 
 import dcvs.cli
-from dcvs import SolverConfig, load_instance
+from dcvs import (
+    SolverConfig,
+    generate_instance,
+    rpr_map,
+    solve,
+    spectral_init,
+    write_trace,
+)
 from dcvs.cli import main
+from dcvs.losses import loss_from_spec
 
 
-def test_gen_and_solve_round_trip(tmp_path, capsys):
-    inst_path = tmp_path / "inst.npz"
-    assert main([
-        "gen", "--d", "10", "--n", "60", "--p-fail", "0.2", "--s", "1.0",
-        "--seed", "5", "--out", str(inst_path),
-    ]) == 0
-    inst = load_instance(inst_path)
-    assert inst.b.shape == (60,)
-    assert inst.outlier_idx.size == 12
-
+def test_solve_command(tmp_path, capsys):
     trace_path = tmp_path / "trace.csv"
     assert main([
-        "solve", "--instance", str(inst_path),
+        "solve", "--d", "10", "--n", "60", "--p-fail", "0.2", "--s", "1.0",
+        "--seed", "5",
         "--loss", json.dumps({"name": "trimmed_l1", "K_over_n": 0.2}),
         "--trace", str(trace_path), "--max-iters", "200",
     ]) == 0
@@ -31,9 +30,25 @@ def test_gen_and_solve_round_trip(tmp_path, capsys):
     assert header == "k,mu,F_k,grad_norm,gamma,backtracks,true_cost"
 
 
-def test_solve_defaults_are_solver_config_defaults(tmp_path, monkeypatch):
-    inst_path = tmp_path / "inst.npz"
-    assert main(["gen", "--d", "5", "--n", "30", "--out", str(inst_path)]) == 0
+def test_solve_trace_is_the_seeded_in_process_solve(tmp_path):
+    # dcvs solve solves generate_instance(..., seed) from spectral_init(A, b, seed)
+    spec = {"name": "mcp", "beta": 1000}
+    config = SolverConfig(max_iters=300, time_cap_seconds=None)
+    inst = generate_instance(12, 72, 0.3, 2.0, outlier_kind="uniform",
+                             noise_variance=1e-4, seed=9)
+    record = solve(loss_from_spec(spec, 72), rpr_map(inst.A, inst.b),
+                   spectral_init(inst.A, inst.b, 9), config)
+    write_trace(record, tmp_path / "expected.csv")
+    assert main([
+        "solve", "--d", "12", "--n", "72", "--p-fail", "0.3", "--s", "2.0",
+        "--outlier-kind", "uniform", "--noise-variance", "1e-4", "--seed", "9",
+        "--loss", json.dumps(spec), "--max-iters", "300", "--time-cap", "0",
+        "--trace", str(tmp_path / "cli.csv"),
+    ]) == 0
+    assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+def test_solve_defaults_are_solver_config_defaults(monkeypatch):
     real_solve, seen = dcvs.cli.solve, []
 
     def recording_solve(loss, smooth_map, x1, config):
@@ -41,17 +56,21 @@ def test_solve_defaults_are_solver_config_defaults(tmp_path, monkeypatch):
         return real_solve(loss, smooth_map, x1, config)
 
     monkeypatch.setattr(dcvs.cli, "solve", recording_solve)
-    assert main(["solve", "--instance", str(inst_path),
+    assert main(["solve", "--d", "5", "--n", "30",
                  "--loss", json.dumps({"name": "l1"})]) == 0
     assert seen == [SolverConfig()]
 
 
 @pytest.mark.parametrize("spec", BAD_LOSS_SPECS, ids=json.dumps)
-def test_solve_rejects_bad_loss_spec(tmp_path, spec):
-    inst_path = tmp_path / "inst.npz"
-    assert main(["gen", "--d", "5", "--n", "20", "--out", str(inst_path)]) == 0
+def test_solve_rejects_bad_loss_spec(spec):
     with pytest.raises(ValueError):
-        main(["solve", "--instance", str(inst_path), "--loss", json.dumps(spec)])
+        main(["solve", "--d", "5", "--n", "20", "--loss", json.dumps(spec)])
+
+
+def test_solve_rejects_nan_time_cap():
+    with pytest.raises(ValueError):
+        main(["solve", "--d", "5", "--n", "20", "--loss", json.dumps({"name": "l1"}),
+              "--time-cap", "nan"])
 
 
 def test_sweep_command(tmp_path, capsys):

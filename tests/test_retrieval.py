@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from helpers import catalog_losses
@@ -7,10 +9,8 @@ from dcvs import (
     generate_instance,
     kappa_fn_for_loss,
     kappa_mu,
-    load_instance,
     make_loss,
     rpr_map,
-    save_instance,
     solve,
     spectral_init,
     success,
@@ -92,6 +92,12 @@ def test_spectral_init_degenerate_fallback():
     assert np.linalg.norm(x1) == pytest.approx(1e-6)
     x2 = spectral_init(inst.A, -np.abs(inst.b), 5)
     assert np.all(np.isfinite(x2))
+    # tau = 3 * median|b| = 3 leaves no nonnegative b_i inside [0, tau]: the
+    # fallback radius sqrt(median|b|) = 1, with no NaN and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x3 = spectral_init(np.ones((4, 2)), [-1.0, -1.0, -1.0, 100.0], 0)
+    assert np.linalg.norm(x3) == pytest.approx(1.0)
 
 
 def test_success_examples():
@@ -165,15 +171,3 @@ def test_success_invariant_under_solver_sign_flip():
     assert rel_pos == pytest.approx(rel_neg)
     assert ok_pos == ok_neg
 
-
-def test_instance_round_trip(tmp_path):
-    inst = generate_instance(6, 30, 0.3, 10.0, outlier_kind="uniform",
-                             noise_variance=1e-4, seed=12)
-    path = tmp_path / "instance.npz"
-    save_instance(inst, path)
-    back = load_instance(path)
-    assert np.array_equal(back.A, inst.A)
-    assert np.array_equal(back.b, inst.b)
-    assert np.array_equal(back.x_star, inst.x_star)
-    assert np.array_equal(back.outlier_idx, inst.outlier_idx)
-    assert back.params == inst.params
