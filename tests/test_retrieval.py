@@ -170,4 +170,3 @@ def test_success_invariant_under_solver_sign_flip():
     rel_neg, ok_neg = success(rec_neg.x_final, inst.x_star)
     assert rel_pos == pytest.approx(rel_neg)
     assert ok_pos == ok_neg
-
