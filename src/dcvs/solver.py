@@ -7,6 +7,7 @@ the surrogate tightens as the iteration proceeds.  Stepsizes come from
 Armijo backtracking; no inner subproblem loop is needed.
 """
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -165,7 +166,7 @@ def backtrack(eval_Fk, x, Fk_x, grad, gamma_init, rho, c):
     instead of a hang.
     """
     grad = np.asarray(grad, dtype=float)
-    g2 = float(np.dot(grad, grad))
+    g2 = float(grad.dot(grad))
     if g2 == 0.0:
         raise ValueError("zero gradient: the point is already stationary")
     if not gamma_init > 0:
@@ -220,9 +221,14 @@ def solve(loss, smooth_map, x1, config=None):
         mu = mu_schedule(k, cfg.eta, cfg.alpha)
         Fk, zgrad = surrogate_at_residual(loss, z, mu)
         grad = smooth_map.jt_vec(Ax, zgrad)
-        if not np.isfinite(Fk) or not np.all(np.isfinite(grad)):
-            raise SolverError(f"non-finite surrogate at iteration {k}", iteration=k)
-        gn = float(np.linalg.norm(grad))
+        # np.linalg.norm(grad) is sqrt(grad.dot(grad)).  A finite sum of
+        # squares proves every entry finite; only when it is not (an entry
+        # is not, or the sum overflowed) are the entries scanned.
+        g2 = grad.dot(grad)
+        if not (math.isfinite(Fk) and math.isfinite(g2)):
+            if not (math.isfinite(Fk) and np.all(np.isfinite(grad))):
+                raise SolverError(f"non-finite surrogate at iteration {k}", iteration=k)
+        gn = math.sqrt(g2)
         cost = float(loss.phi_value(z))
 
         mus.append(mu)

@@ -136,3 +136,34 @@ def surrogate_reference(loss, z, mu):
     pg = g_prox()
     g_env, g_grad = moreau_value_and_grad(pg, z, loss.g_value(pg), mu)
     return f_env - g_env, f_grad - g_grad
+
+
+# Earlier expressions of the rewritten prox formulas, kept as test-only
+# references: each :mod:`dcvs.prox` function must return the same numbers
+# (``==``; only the sign of a zero may differ).
+
+def prox_scaled_abs_reference(t, mu, lam):
+    t = np.asarray(t, dtype=float)
+    return np.sign(t) * np.maximum(np.abs(t) - mu * lam, 0.0)
+
+
+def prox_huber_reference(t, lam, beta, mu):
+    t = np.asarray(t, dtype=float)
+    a = np.abs(t)
+    return np.where(a <= (beta + mu) * lam, beta / (beta + mu) * t, t - mu * lam * np.sign(t))
+
+
+def prox_capped_complement_reference(t, beta, mu):
+    t = np.asarray(t, dtype=float)
+    a = np.abs(t)
+    s = np.sign(t)
+    return np.where(a <= beta, t, np.where(a <= beta + mu, s * beta, t - mu * s))
+
+
+def prox_topk_reference(z, K, mu):
+    z = np.asarray(z, dtype=float)
+    if K == 0:
+        return z.copy()
+    a = np.abs(z)
+    theta = _clip_threshold(a, mu, K)
+    return z - np.sign(z) * np.minimum(np.maximum(a - theta, 0.0), mu)

@@ -106,7 +106,9 @@ def test_config_validation():
     assert [type(v) for v in (cfg.d, *cfg.n_over_d, cfg.trials, cfg.base_seed)] == [int] * 4
     # instance arguments are checked for every cell (n = 40 here)
     for bad in ({"p_fail": [0.2, 1.5]}, {"s": [0.0]}, {"noise_variance": -1},
-                {"outlier_kind": "gauss"}, {"p_fail": [0.99]}):
+                {"outlier_kind": "gauss"}, {"p_fail": [0.99]},
+                {"noise_variance": float("nan")}, {"s": [1.0, float("inf")]},
+                {"s": [float("nan")]}):
         with pytest.raises(ValueError):
             tiny_config(**bad)
 

@@ -37,6 +37,25 @@ def test_perfbench_hook_targets_exist():
     assert set(tracing.MAP_FIELDS) <= map_fields
 
 
+def test_perfbench_solver_hooks_are_reached(monkeypatch):
+    # the traced run rebinds these dcvs.solver globals; solve must look them
+    # up at call time, or an alias bound at import would run untraced
+    tracing = load_tracing()
+    calls = dict.fromkeys(tracing.SOLVER_HOOKS, 0)
+    for attr in calls:
+        def counted(*args, _attr=attr, _fn=getattr(dcvs.solver, attr), **kwargs):
+            calls[_attr] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(dcvs.solver, attr, counted)
+    inst, m = small_instance(seed=4, d=12, n=72, p_fail=0.3)
+    rec = solve(catalog_losses(72)[3], m, spectral_init(inst.A, inst.b, 4),
+                SolverConfig(max_iters=400, time_cap_seconds=None))
+    backtracks = int(rec.backtrack_counts.sum())
+    assert rec.iterations > 0 and backtracks > 0
+    assert calls == {"backtrack": rec.iterations,
+                     "surrogate_at_residual": rec.mus.size + rec.iterations + backtracks}
+
+
 def test_perfbench_workload_calls_exist():
     # workloads.py reaches the library as ``dcvs.<name>`` and, after
     # ``from dcvs import bench``, as ``bench.<name>``

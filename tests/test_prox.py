@@ -2,7 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
-from helpers import clip_threshold_all_kinks, small_instance
+from helpers import (
+    clip_threshold_all_kinks,
+    prox_capped_complement_reference,
+    prox_huber_reference,
+    prox_scaled_abs_reference,
+    prox_topk_reference,
+    small_instance,
+)
 
 from dcvs import SolverConfig, make_loss, prox, solve, spectral_init
 from dcvs.oracle import brute_prox_1d, brute_prox_nd, fd_grad
@@ -237,6 +244,60 @@ def test_clip_threshold_zero_where_first_kink_fits(z, K):
     theta_ref, wrapped = clip_threshold_all_kinks(a, 0.3, K)
     assert wrapped and theta_ref < 0.0
     assert prox._clip_threshold(a, 0.3, K) == 0.0
+
+
+# (function, reference), both called as f(t, lam, beta, mu)
+REWRITTEN_SCALAR_PROXES = {
+    "prox_scaled_abs": (
+        lambda t, lam, beta, mu: prox.prox_scaled_abs(t, mu, lam),
+        lambda t, lam, beta, mu: prox_scaled_abs_reference(t, mu, lam)),
+    "prox_huber": (prox.prox_huber, prox_huber_reference),
+    "prox_capped_complement": (
+        lambda t, lam, beta, mu: prox.prox_capped_complement(t, beta, mu),
+        lambda t, lam, beta, mu: prox_capped_complement_reference(t, beta, mu)),
+}
+
+
+def _branch_edges(lam, beta, mu):
+    """Every branch boundary of the scalar proxes, one ulp to each side of
+    it, signed zeros, infinities and 1e12 outliers, with both signs."""
+    marks = np.array([mu * lam, beta, beta + mu, beta * lam, (beta + mu) * lam])
+    points = np.concatenate([marks, np.nextafter(marks, np.inf),
+                             np.nextafter(marks, -np.inf), [0.0, 1e12, np.inf]])
+    return np.concatenate([points, -points])
+
+
+@pytest.mark.parametrize("name", sorted(REWRITTEN_SCALAR_PROXES))
+def test_rewritten_scalar_prox_matches_reference(name):
+    # the rewritten forms promise the very numbers of the earlier ones
+    # (==, for every parameter); beta <= 0.1 < mu is where a form exact
+    # only for mu <= beta would drift by ulps
+    fn, reference = REWRITTEN_SCALAR_PROXES[name]
+    rng = np.random.default_rng(13)
+    grid = [(1.0, b, m) for b in (1e-3, 0.05, 0.1, 1.0, 1000.0) for m in (1e-3, 0.3, 1.0)]
+    drawn = [tuple(10.0 ** rng.uniform(lo, hi) for lo, hi in ((-1, 1), (-3, 3), (-3, 0)))
+             for _ in range(300)]
+    for lam, beta, mu in grid + drawn:
+        edges = _branch_edges(lam, beta, mu)
+        t = np.concatenate([edges, rng.standard_normal(100) * (beta + mu),
+                            rng.standard_cauchy(100) * 1e3])
+        np.testing.assert_array_equal(fn(t, lam, beta, mu), reference(t, lam, beta, mu))
+        for x in edges[::3]:  # the scalar path
+            assert fn(x, lam, beta, mu) == reference(x, lam, beta, mu)
+
+
+def test_rewritten_prox_topk_matches_reference():
+    rng = np.random.default_rng(14)
+    for z, K, mu in _residual_draws(rng, 3000):
+        np.testing.assert_array_equal(prox.prox_topk(z, K, mu), prox_topk_reference(z, K, mu))
+    # signed zeros, infinite and 1e12 entries (an infinite prefix sum makes
+    # inf - inf slacks on both sides)
+    z = np.concatenate([rng.standard_normal(40), [0.0, -0.0, 1e12, -1e12, np.inf, -np.inf]])
+    with np.errstate(invalid="ignore"):
+        for K in (0, 1, 3, 20, z.size):
+            for mu in (1e-3, 0.3, 1.0):
+                np.testing.assert_array_equal(prox.prox_topk(z, K, mu),
+                                              prox_topk_reference(z, K, mu))
 
 
 @pytest.mark.parametrize(

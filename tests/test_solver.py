@@ -233,6 +233,44 @@ def test_solve_validates_inputs():
         solve(loss, m, np.zeros(5), SolverConfig(eta=0.25))
 
 
+def test_solve_rejects_non_finite_surrogate():
+    inst, m = small_instance(seed=10, d=5, n=25)
+    x1 = spectral_init(inst.A, inst.b, 10)
+    loss = make_loss("l1", 25)
+
+    def inf_residual(x):
+        z, Ax = m.eval(x)
+        z = z.copy()
+        z[2] = np.inf
+        return z, Ax
+
+    def nan_gradient(Ax, v):
+        g = m.jt_vec(Ax, v)
+        g[3] = np.nan
+        return g
+
+    # F_k non-finite; then a NaN gradient entry under a finite F_k
+    for broken in (dataclasses.replace(m, eval=inf_residual),
+                   dataclasses.replace(m, jt_vec=nan_gradient)):
+        with pytest.raises(SolverError, match="non-finite surrogate at iteration 1") as err, \
+                np.errstate(invalid="ignore"):
+            solve(loss, broken, x1, SolverConfig(time_cap_seconds=None))
+        assert err.value.iteration == 1
+
+
+def test_solve_accepts_finite_gradient_whose_square_sum_overflows():
+    # every entry finite but ||grad||^2 = inf: the gradient is not
+    # non-finite, so iteration 1 steps (to a point whose residual
+    # overflows, which iteration 2 rejects)
+    inst, m = small_instance(seed=10, d=5, n=25)
+    huge = dataclasses.replace(m, jt_vec=lambda Ax, v: np.full(5, 1e160))
+    with pytest.raises(SolverError, match="non-finite surrogate") as err, \
+            np.errstate(over="ignore", invalid="ignore"):
+        solve(make_loss("l1", 25), huge, spectral_init(inst.A, inst.b, 10),
+              SolverConfig(time_cap_seconds=None))
+    assert err.value.iteration == 2
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(rho=1.0)
