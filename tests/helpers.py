@@ -138,9 +138,9 @@ def surrogate_reference(loss, z, mu):
     return f_env - g_env, f_grad - g_grad
 
 
-# Earlier expressions of the rewritten prox formulas, kept as test-only
-# references: each :mod:`dcvs.prox` function must return the same numbers
-# (``==``; only the sign of a zero may differ).
+# Direct expressions of the prox formulas (sign, abs, nested where), kept
+# as test-only references: each :mod:`dcvs.prox` function computes the same
+# numbers with fewer ufunc calls (``==``; only the sign of a zero may differ).
 
 def prox_scaled_abs_reference(t, mu, lam):
     t = np.asarray(t, dtype=float)

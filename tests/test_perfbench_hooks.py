@@ -13,7 +13,7 @@ from helpers import catalog_losses, small_instance
 
 import dcvs.bench
 import dcvs.solver
-from dcvs import DcLoss, SmoothMap, SolverConfig, solve, spectral_init
+from dcvs import DcLoss, SmoothMap, SolverConfig, make_loss, solve, spectral_init
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -48,7 +48,7 @@ def test_perfbench_solver_hooks_are_reached(monkeypatch):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(dcvs.solver, attr, counted)
     inst, m = small_instance(seed=4, d=12, n=72, p_fail=0.3)
-    rec = solve(catalog_losses(72)[3], m, spectral_init(inst.A, inst.b, 4),
+    rec = solve(make_loss("trimmed_l1", 72, K=21), m, spectral_init(inst.A, inst.b, 4),
                 SolverConfig(max_iters=400, time_cap_seconds=None))
     backtracks = int(rec.backtrack_counts.sum())
     assert rec.iterations > 0 and backtracks > 0

@@ -240,7 +240,6 @@ def test_solve_rejects_non_finite_surrogate():
 
     def inf_residual(x):
         z, Ax = m.eval(x)
-        z = z.copy()
         z[2] = np.inf
         return z, Ax
 
