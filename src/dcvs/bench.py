@@ -16,7 +16,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import groupby, product
-from typing import Optional
+
+import numpy as np
 
 from .losses import _check_keys, loss_from_spec, loss_label, spec_params
 from .maps import rpr_map
@@ -26,6 +27,7 @@ from .solver import SolverConfig, SolverError, solve, write_csv
 __all__ = (
     "SweepConfig",
     "SweepResult",
+    "seeded_problem",
     "run_sweep",
     "emit_outputs",
     "sweep_config_from_dict",
@@ -55,7 +57,6 @@ class SweepConfig:
     outlier_kind: str = "cauchy"
     noise_variance: float = 1e-6
     solver: SolverConfig = field(default_factory=SolverConfig)
-    output_dir: Optional[str] = None
 
     def __post_init__(self):
         for key, cast in _CONFIG_CASTS.items():
@@ -74,6 +75,13 @@ class SweepConfig:
         for spec in self.losses:
             for nd in self.n_over_d:
                 loss_from_spec(spec, self.d * nd)
+        # each name keys an output row, column or heatmap file; a repeat
+        # would duplicate rows or overwrite a file
+        for what, names in (("n_over_d", self.n_over_d), ("p_fail", self.p_fail),
+                            ("s", [f"{s_val:g}" for s_val in self.s]),
+                            ("loss label", [loss_label(spec) for spec in self.losses])):
+            if len(set(names)) < len(names):
+                raise ValueError(f"repeated {what} in {names}")
 
     def cells(self):
         """Canonical cell order: n_over_d outer, then p_fail, then s."""
@@ -87,6 +95,19 @@ class SweepResult:
     summary_rows: list  # dicts keyed by SUMMARY_COLUMNS, cell-major order
 
 
+def seeded_problem(d, n, p_fail, s, outlier_kind, noise_variance, seed):
+    """``(inst, x1, smooth_map)``: the instance ``seed`` draws, its
+    spectral initial point and its smooth map, which every solve of one
+    trial shares; ``dcvs solve`` and each sweep trial both start here.
+
+    The three builders are looked up as module globals at call time, so
+    a traced run that rebinds them on this module sees every trial.
+    """
+    inst = generate_instance(d, n, p_fail, s, outlier_kind=outlier_kind,
+                             noise_variance=noise_variance, seed=seed)
+    return inst, spectral_init(inst.A, inst.b, seed), rpr_map(inst.A, inst.b)
+
+
 def _run_trial(args):
     """One (cell, trial) work item: a fresh instance, a shared initial
     point, one solve per loss.  Returns plain-dict rows (picklable)."""
@@ -94,14 +115,8 @@ def _run_trial(args):
     d = config.d
     n = d * nd
     seed = config.base_seed + trial
-    inst = generate_instance(
-        d, n, p_fail, s_val,
-        outlier_kind=config.outlier_kind,
-        noise_variance=config.noise_variance,
-        seed=seed,
-    )
-    x1 = spectral_init(inst.A, inst.b, seed)
-    smooth_map = rpr_map(inst.A, inst.b)
+    inst, x1, smooth_map = seeded_problem(d, n, p_fail, s_val, config.outlier_kind,
+                                          config.noise_variance, seed)
     rows = []
     for loss_idx, spec in enumerate(config.losses):
         loss = loss_from_spec(spec, n)
@@ -135,18 +150,17 @@ def _run_trial(args):
     return rows
 
 
-def run_sweep(config, workers=None):
+def run_sweep(config, workers=1):
     """Execute the whole grid and aggregate per (cell, loss).
 
     Deterministic for a fixed ``base_seed`` whatever the worker count:
     trial seeds are scheduling-independent and rows are sorted before
     aggregation.  A solver failure is recorded on its trial row, counts
     as an unsuccessful trial, and never aborts the sweep.  ``workers``
-    is the process count; ``None`` or 0 runs serially in this process.
+    is the process count, an integer >= 1; 1 runs serially in this process.
     """
-    if workers is not None and workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
-    workers = max(1, int(workers)) if workers else 1
+    if not (isinstance(workers, (int, np.integer)) and workers >= 1):
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     items = [
         (cell_idx, nd, p_fail, s_val, trial, config)
         for cell_idx, (nd, p_fail, s_val) in enumerate(config.cells())

@@ -6,8 +6,7 @@ import sys
 
 from . import bench
 from .losses import loss_from_spec, loss_label
-from .maps import rpr_map
-from .retrieval import OUTLIER_KINDS, generate_instance, spectral_init, success
+from .retrieval import OUTLIER_KINDS, success
 from .solver import SolverConfig, solve, write_trace
 
 
@@ -19,14 +18,10 @@ def _cmd_solve(args):
         max_iters=args.max_iters,
         time_cap_seconds=None if args.time_cap <= 0 else args.time_cap,
     )
-    inst = generate_instance(
-        args.d, args.n, args.p_fail, args.s,
-        outlier_kind=args.outlier_kind,
-        noise_variance=args.noise_variance,
-        seed=args.seed,
-    )
-    x1 = spectral_init(inst.A, inst.b, args.seed)
-    record = solve(loss, rpr_map(inst.A, inst.b), x1, config)
+    inst, x1, smooth_map = bench.seeded_problem(
+        args.d, args.n, args.p_fail, args.s, args.outlier_kind,
+        args.noise_variance, args.seed)
+    record = solve(loss, smooth_map, x1, config)
     rel, ok = success(record.x_final, inst.x_star)
     print(f"loss={loss_label(spec)} iterations={record.iterations} "
           f"termination={record.termination} wall={record.wall_seconds:.3f}s")
@@ -41,13 +36,8 @@ def _cmd_sweep(args):
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     config = bench.sweep_config_from_dict(raw)
-    out_dir = args.out or config.output_dir
-    if not out_dir:
-        print("no output directory: pass --out or set output_dir in the config",
-              file=sys.stderr)
-        return 2
     result = bench.run_sweep(config, workers=args.workers)
-    written = bench.emit_outputs(result, out_dir)
+    written = bench.emit_outputs(result, args.out)
     for path in written:
         print(f"wrote {path}")
     for row in result.summary_rows:
@@ -70,8 +60,10 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p-fail", type=float, default=0.0)
     p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--outlier-kind", choices=OUTLIER_KINDS, default="cauchy")
-    p.add_argument("--noise-variance", type=float, default=1e-6)
+    p.add_argument("--outlier-kind", choices=OUTLIER_KINDS,
+                   default=bench.SweepConfig.outlier_kind)
+    p.add_argument("--noise-variance", type=float,
+                   default=bench.SweepConfig.noise_variance)
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the instance and of the spectral initializer")
     p.add_argument("--loss", required=True,
@@ -86,9 +78,9 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="run a success-rate sweep from a JSON config")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", help="output directory (overrides the config)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: 1, serial)")
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes, at least 1 (default: 1, serial)")
     p.set_defaults(func=_cmd_sweep)
 
     return parser

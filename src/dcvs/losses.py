@@ -84,11 +84,6 @@ def make_loss(name, n, lam=1.0, beta=None, K=None):
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    taken = {"mcp": ("lam", "beta"), "capped_l1": ("beta",), "trimmed_l1": ("K",)}
-    given = {"lam": lam != 1.0, "beta": beta is not None, "K": K is not None}
-    unused = [key for key, on in given.items() if on and key not in taken.get(name, ())]
-    if unused and name in LOSS_SPECS:
-        raise ValueError(f"{name} takes no {', '.join(unused)}")
     sqrt_n = float(np.sqrt(n))
 
     if name == "l1":
@@ -116,6 +111,10 @@ def make_loss(name, n, lam=1.0, beta=None, K=None):
         g_prox = lambda z, mu: prox_topk(z, K, mu)
     else:
         raise ValueError(f"unknown loss {name!r}; choose one of {tuple(LOSS_SPECS)}")
+    given = {"lam": lam != 1.0, "beta": beta is not None, "K": K is not None}
+    unused = [key for key, on in given.items() if on and key not in params]
+    if unused:
+        raise ValueError(f"{name} takes no {', '.join(unused)}")
 
     return DcLoss(
         name=name, params=params, n=n,

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +112,15 @@ def test_config_validation():
                 {"s": [float("nan")]}):
         with pytest.raises(ValueError):
             tiny_config(**bad)
+    # a name that keys an output row, column or file may not repeat: both
+    # capped_l1 specs are labelled capped_l1_beta1000, both scales write _s1
+    for bad in ({"losses": [{"name": "capped_l1", "beta": 1000},
+                            {"name": "capped_l1", "beta": 1000.0001}]},
+                {"losses": [{"name": "l1"}, {"name": "l1"}]},
+                {"n_over_d": [5, 6, 5]}, {"n_over_d": [5, 5.0]},
+                {"p_fail": [0.2, 0.0, 0.2]}, {"s": [1.0, 1.0000001]}):
+        with pytest.raises(ValueError, match="repeated"):
+            tiny_config(**bad)
 
 
 def test_loss_specs_checked_at_every_n():
@@ -173,8 +183,11 @@ def test_sweep_deterministic_across_workers(tmp_path):
 
 
 def test_run_sweep_rejects_negative_workers():
-    with pytest.raises(ValueError):
-        run_sweep(tiny_config(), workers=-1)
+    # serial has one spelling, workers=1; 0 and None are errors, not serial
+    for bad in (-1, 0, None, 1.0, "2"):
+        with pytest.raises(ValueError):
+            run_sweep(tiny_config(), workers=bad)
+    assert len(run_sweep(tiny_config(trials=1), workers=np.int64(1)).trial_rows) == 2
 
 
 def test_sweep_grid_permutation_leaves_trials_unchanged():
@@ -240,6 +253,27 @@ def test_emit_outputs_shapes(tmp_path):
     summary = (tmp_path / "summary.csv").read_text(encoding="utf-8").strip().split("\n")
     assert summary[0].startswith("d,n,n_over_d,p_fail,s,loss,params,success_rate")
     assert len(summary) == 1 + 4
+
+
+def test_emit_outputs_one_heatmap_per_loss_and_scale(tmp_path):
+    cfg = tiny_config(n_over_d=[5, 6], p_fail=[0.0, 0.2], s=[1.0, 2.5], trials=1)
+    written = emit_outputs(run_sweep(cfg), tmp_path)
+    labels = [loss_label(spec) for spec in cfg.losses]
+    heatmaps = [f"heatmap_{label}_s{tag}.csv" for label in labels for tag in ("1", "2.5")]
+    assert [Path(p).name for p in written] == ["summary.csv", "trials.csv", *heatmaps]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(Path(p).name for p in written)
+    with open(tmp_path / "summary.csv", encoding="utf-8", newline="") as fh:
+        summary = list(csv.DictReader(fh))
+    rate = {(r["loss"], r["s"], r["p_fail"], r["n_over_d"]): r["success_rate"]
+            for r in summary}
+    for label in labels:
+        for s_val, tag in (("1.0", "1"), ("2.5", "2.5")):
+            with open(tmp_path / f"heatmap_{label}_s{tag}.csv", encoding="utf-8",
+                      newline="") as fh:
+                header, *rows = list(csv.reader(fh))
+            assert header == ["p_fail\\n_over_d", "5", "6"]
+            assert rows == [[p_fail, *(rate[(label, s_val, p_fail, nd)] for nd in ("5", "6"))]
+                            for p_fail in ("0.0", "0.2")]
 
 
 def test_emit_outputs_quote_multi_key_params(tmp_path):

@@ -95,9 +95,13 @@ def test_sweep_command(tmp_path, capsys):
 
 
 def test_sweep_requires_output_dir(tmp_path, capsys):
+    # --out is the one way to name the output directory
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "d": 8, "n_over_d": [5], "p_fail": [0.0], "losses": [{"name": "l1"}],
         "trials": 1,
     }), encoding="utf-8")
-    assert main(["sweep", "--config", str(cfg_path)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(cfg_path)])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err

@@ -100,3 +100,24 @@ def test_loss_fields_carry_every_evaluation():
     # runs that end on the stopping test (one more evaluation than steps)
     # and on the budget are both counted
     assert backtracked > 0 and ends == {"rel_tol", "max_iters"}
+
+
+def test_perfbench_sweep_hooks_are_reached(monkeypatch):
+    # the traced sweep rebinds these dcvs.bench globals (and _run_trial,
+    # which a pool worker reaches by import path); a trial must look them
+    # up at call time, or a name bound at import would run untraced
+    tracing = load_tracing()
+    config = dcvs.bench.SweepConfig(
+        d=8, n_over_d=[5], p_fail=[0.2], trials=2,
+        losses=[{"name": "l1"}, {"name": "capped_l1", "beta": 2.0}],
+        solver=SolverConfig(max_iters=30, time_cap_seconds=None))
+    calls = dict.fromkeys((a for a in tracing.SWEEP_HOOKS if a != "_run_trial"), 0)
+    for attr in calls:
+        def counted(*args, _attr=attr, _fn=getattr(dcvs.bench, attr), **kwargs):
+            calls[_attr] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(dcvs.bench, attr, counted)
+    result = dcvs.bench.run_sweep(config, workers=1)
+    assert len(result.trial_rows) == 4
+    assert calls == {"generate_instance": 2, "spectral_init": 2, "rpr_map": 2,
+                     "loss_from_spec": 4, "solve": 4}
