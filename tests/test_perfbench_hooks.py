@@ -103,9 +103,9 @@ def test_loss_fields_carry_every_evaluation():
 
 
 def test_perfbench_sweep_hooks_are_reached(monkeypatch):
-    # the traced sweep rebinds these dcvs.bench globals (and _run_trial,
-    # which a pool worker reaches by import path); a trial must look them
-    # up at call time, or a name bound at import would run untraced
+    # the traced sweep rebinds these dcvs.bench globals; a trial must look
+    # them up at call time, or a name bound at import would run untraced
+    # (_run_trial, the work item itself, is left out here)
     tracing = load_tracing()
     config = dcvs.bench.SweepConfig(
         d=8, n_over_d=[5], p_fail=[0.2], trials=2,
