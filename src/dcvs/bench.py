@@ -15,11 +15,11 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from itertools import groupby, product
+from itertools import product
 
 import numpy as np
 
-from .losses import _check_keys, loss_from_spec, loss_label, spec_params
+from .losses import _check_keys, _not_bool, loss_from_spec, loss_label, spec_params
 from .maps import rpr_map
 from .retrieval import _check_instance_args, generate_instance, spectral_init, success
 from .solver import SolverConfig, SolverError, solve, write_csv
@@ -59,6 +59,8 @@ class SweepConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
+        if not isinstance(self.solver, SolverConfig):
+            raise ValueError(f"solver must be a SolverConfig, got {self.solver!r}")
         for key, cast in _CONFIG_CASTS.items():
             setattr(self, key, cast(getattr(self, key)))
         if not (self.n_over_d and self.p_fail and self.s and self.losses):
@@ -91,8 +93,8 @@ class SweepConfig:
 @dataclass
 class SweepResult:
     config: SweepConfig
-    trial_rows: list   # dicts keyed by TRIAL_COLUMNS plus cell/loss indices
-    summary_rows: list  # dicts keyed by SUMMARY_COLUMNS, cell-major order
+    trial_rows: list    # dicts keyed by TRIAL_COLUMNS, in config order
+    summary_rows: list  # dicts keyed by SUMMARY_COLUMNS, in config order
 
 
 def seeded_problem(d, n, p_fail, s, outlier_kind, noise_variance, seed):
@@ -110,86 +112,75 @@ def seeded_problem(d, n, p_fail, s, outlier_kind, noise_variance, seed):
 
 def _run_trial(args):
     """One (cell, trial) work item: a fresh instance, a shared initial
-    point, one solve per loss.  Returns plain-dict rows (picklable)."""
-    (cell_idx, nd, p_fail, s_val, trial, config) = args
-    d = config.d
-    n = d * nd
-    seed = config.base_seed + trial
-    inst, x1, smooth_map = seeded_problem(d, n, p_fail, s_val, config.outlier_kind,
+    point, one solve per loss.  Returns one plain-dict outcome per loss,
+    in ``config.losses`` order, keyed by the last six ``TRIAL_COLUMNS``."""
+    n, p_fail, s_val, seed, config = args
+    inst, x1, smooth_map = seeded_problem(config.d, n, p_fail, s_val, config.outlier_kind,
                                           config.noise_variance, seed)
-    rows = []
-    for loss_idx, spec in enumerate(config.losses):
+    outcomes = []
+    for spec in config.losses:
         loss = loss_from_spec(spec, n)
-        # the normalised parameters, so that 1000 and 1000.0 write one cell
-        params = dict(sorted(spec_params(spec)[1].items()))
-        base = {
-            "cell_idx": cell_idx, "loss_idx": loss_idx,
-            "d": d, "n": n, "n_over_d": nd, "p_fail": p_fail, "s": s_val,
-            "loss": loss_label(spec), "params": json.dumps(params),
-            "trial": trial, "seed": seed,
-        }
         t0 = time.perf_counter()
         try:
             record = solve(loss, smooth_map, x1, config.solver)
             rel, ok = success(record.x_final, inst.x_star)
-            base.update(
-                rel_error=rel, success=int(ok),
-                iterations=record.iterations,
-                termination=record.termination,
-                seconds=record.wall_seconds, error="",
-            )
+            outcomes.append(dict(
+                rel_error=rel, success=int(ok), iterations=record.iterations,
+                termination=record.termination, seconds=record.wall_seconds, error="",
+            ))
         except SolverError as err:
             # the solve failed inside step err.iteration, after
             # err.iteration - 1 completed steps
-            base.update(
+            outcomes.append(dict(
                 rel_error=float("inf"), success=0, iterations=err.iteration - 1,
-                termination="error", seconds=time.perf_counter() - t0,
-                error=str(err),
-            )
-        rows.append(base)
-    return rows
+                termination="error", seconds=time.perf_counter() - t0, error=str(err),
+            ))
+    return outcomes
 
 
 def run_sweep(config, workers=1):
     """Execute the whole grid and aggregate per (cell, loss).
 
-    Deterministic for a fixed ``base_seed`` whatever the worker count:
-    trial seeds are scheduling-independent and rows are sorted before
-    aggregation.  A solver failure is recorded on its trial row, counts
-    as an unsuccessful trial, and never aborts the sweep.  ``workers``
-    is the process count, an integer >= 1; 1 runs serially in this process.
+    Rows come in config order: cells as :meth:`SweepConfig.cells` lists
+    them, then losses as configured, then trials.  Deterministic for a
+    fixed ``base_seed`` whatever the worker count: trial seeds are
+    scheduling-independent, and both ``map``s return results in item
+    order.  A solver failure is recorded on its trial row, counts as an
+    unsuccessful trial, and never aborts the sweep.  ``workers`` is the
+    process count, an integer >= 1; 1 runs serially in this process.
     """
     if not (isinstance(workers, (int, np.integer)) and workers >= 1):
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
-    items = [
-        (cell_idx, nd, p_fail, s_val, trial, config)
-        for cell_idx, (nd, p_fail, s_val) in enumerate(config.cells())
-        for trial in range(config.trials)
-    ]
+    d, trials, cells = config.d, config.trials, config.cells()
+    items = [(d * nd, p_fail, s_val, config.base_seed + t, config)
+             for nd, p_fail, s_val in cells for t in range(trials)]
     if workers == 1:
-        chunks = map(_run_trial, items)
+        chunks = list(map(_run_trial, items))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_trial, items, chunksize=1))
-    rows = [row for chunk in chunks for row in chunk]
-    rows.sort(key=lambda r: (r["cell_idx"], r["loss_idx"], r["trial"]))
+    # one label and params cell per loss; the normalised parameters, so
+    # that 1000 and 1000.0 write one cell
+    losses = [(loss_label(spec), json.dumps(dict(sorted(spec_params(spec)[1].items()))))
+              for spec in config.losses]
 
-    summary = []
-    for (cell_idx, loss_idx), group in groupby(
-        rows, key=lambda r: (r["cell_idx"], r["loss_idx"])
-    ):
-        group = list(group)
-        trials = len(group)
-        summary.append({
-            # d .. params: the cell and loss columns every row of the group shares
-            **{col: group[0][col] for col in SUMMARY_COLUMNS[:7]},
-            "success_rate": sum(r["success"] for r in group) / trials,
-            "mean_rel_err": sum(r["rel_error"] for r in group) / trials,
-            "mean_seconds": sum(r["seconds"] for r in group) / trials,
-            "mean_iters": sum(r["iterations"] for r in group) / trials,
-            "cell_idx": cell_idx, "loss_idx": loss_idx,
-        })
-    return SweepResult(config=config, trial_rows=rows, summary_rows=summary)
+    trial_rows, summary = [], []
+    for c, (nd, p_fail, s_val) in enumerate(cells):
+        # the cell's trials, regrouped into one tuple of outcomes per loss
+        per_loss = zip(*chunks[c * trials:(c + 1) * trials])
+        for (label, params), outcomes in zip(losses, per_loss):
+            key = {"d": d, "n": d * nd, "n_over_d": nd, "p_fail": p_fail, "s": s_val,
+                   "loss": label, "params": params}
+            trial_rows += [{**key, "trial": t, "seed": config.base_seed + t, **outcome}
+                           for t, outcome in enumerate(outcomes)]
+            summary.append({
+                **key,
+                "success_rate": sum(o["success"] for o in outcomes) / trials,
+                "mean_rel_err": sum(o["rel_error"] for o in outcomes) / trials,
+                "mean_seconds": sum(o["seconds"] for o in outcomes) / trials,
+                "mean_iters": sum(o["iterations"] for o in outcomes) / trials,
+            })
+    return SweepResult(config=config, trial_rows=trial_rows, summary_rows=summary)
 
 
 def emit_outputs(result, out_dir):
@@ -231,8 +222,8 @@ def emit_outputs(result, out_dir):
 
 
 def _integral(v):
-    """``v`` as an int: ``5.0`` passes as 5, ``5.5`` is an error."""
-    i = int(v)
+    """``v`` as an int: ``5.0`` passes as 5; ``5.5`` and ``True`` are errors."""
+    i = int(_not_bool(v))
     if i != v:
         raise ValueError(f"expected an integer, got {v!r}")
     return i
@@ -243,12 +234,12 @@ def _integral(v):
 _CONFIG_CASTS = {
     "d": _integral,
     "n_over_d": lambda v: [_integral(x) for x in v],
-    "p_fail": lambda v: [float(x) for x in v],
-    "s": lambda v: [float(x) for x in v],
+    "p_fail": lambda v: [float(_not_bool(x)) for x in v],
+    "s": lambda v: [float(_not_bool(x)) for x in v],
     "losses": list,
     "trials": _integral,
     "base_seed": _integral,
-    "noise_variance": float,
+    "noise_variance": lambda v: float(_not_bool(v)),
 }
 
 

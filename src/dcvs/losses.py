@@ -134,6 +134,13 @@ def _check_keys(what, keys, allowed, required=()):
                          f"{missing} (allowed: {sorted(allowed)})")
 
 
+def _not_bool(v, what="value"):
+    """``v``, checked not to be a bool: JSON ``true`` is no number."""
+    if isinstance(v, (bool, np.bool_)):
+        raise ValueError(f"{what} must be a number, got {v!r}")
+    return v
+
+
 def spec_params(spec):
     """Check a loss spec against :data:`LOSS_SPECS`; return its name and
     every parameter as a float, defaults filled in."""
@@ -143,7 +150,7 @@ def spec_params(spec):
     keys = LOSS_SPECS[name][0]
     _check_keys(f"loss spec {spec!r}", spec, {"name", *keys},
                 required=[k for k, default in keys.items() if default is REQUIRED])
-    return name, {k: float(spec.get(k, default)) for k, default in keys.items()}
+    return name, {k: float(_not_bool(spec.get(k, default), k)) for k, default in keys.items()}
 
 
 def loss_from_spec(spec, n):

@@ -9,12 +9,12 @@ Armijo backtracking; no inner subproblem loop is needed.
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from .losses import MU_MAX, surrogate_at_residual
+from .losses import MU_MAX, _not_bool, surrogate_at_residual
 
 __all__ = (
     "SolverConfig",
@@ -64,6 +64,11 @@ class SolverConfig:
     store_iterates: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.store_iterates, bool):
+            raise ValueError(f"store_iterates must be a bool, got {self.store_iterates!r}")
+        for f in fields(self):
+            if f.name != "store_iterates":
+                _not_bool(getattr(self, f.name), f.name)
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (0, 1)")
         if not 0.0 < self.c < 1.0:

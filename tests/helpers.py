@@ -28,13 +28,14 @@ def catalog_losses(n):
 
 # loss specs the spec table rejects: a misspelt key with and without the
 # required one, a missing required key, a key the loss does not take, an
-# unknown name
+# unknown name, a bool where a number belongs
 BAD_LOSS_SPECS = [
     {"name": "mcp", "lam": 5},
     {"name": "mcp", "lam": 5, "beta": 1000},
     {"name": "trimmed_l1"},
     {"name": "l1", "beta": 1},
     {"name": "nope"},
+    {"name": "capped_l1", "beta": True},
 ]
 
 

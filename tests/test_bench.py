@@ -103,6 +103,17 @@ def test_config_validation():
                 {"base_seed": 1.5}, {"base_seed": -1}):
         with pytest.raises(ValueError):
             tiny_config(**bad)
+    # a bool is no number: JSON true would read as 1 and false as 0
+    for bad in ({"d": True}, {"n_over_d": [True]}, {"trials": True},
+                {"base_seed": True}, {"p_fail": [0.2, False]}, {"s": [True]},
+                {"noise_variance": True}):
+        with pytest.raises(ValueError, match="number"):
+            tiny_config(**bad)
+    # the solver block is a SolverConfig; a dict would fail in the first
+    # trial, and None would be a second spelling of the defaults
+    for bad in ({"max_iters": 5}, None):
+        with pytest.raises(ValueError, match="SolverConfig"):
+            tiny_config(solver=bad)
     cfg = tiny_config(d=8.0, n_over_d=[5.0], trials=2.0, base_seed=7.0)
     assert [type(v) for v in (cfg.d, *cfg.n_over_d, cfg.trials, cfg.base_seed)] == [int] * 4
     # instance arguments are checked for every cell (n = 40 here)
@@ -160,13 +171,28 @@ def test_sweep_bookkeeping():
     result = run_sweep(cfg, workers=1)
     # 1x1 grid, 2 losses, 2 trials -> 2 rows per loss
     assert len(result.trial_rows) == 4
-    for loss_idx in (0, 1):
-        rows = [r for r in result.trial_rows if r["loss_idx"] == loss_idx]
+    for spec in cfg.losses:
+        rows = [r for r in result.trial_rows if r["loss"] == loss_label(spec)]
         assert [r["trial"] for r in rows] == [0, 1]
         assert [r["seed"] for r in rows] == [7, 8]
     assert len(result.summary_rows) == 2
     for row in result.summary_rows:
         assert 0.0 <= row["success_rate"] <= 1.0
+
+
+def test_sweep_rows_in_config_order():
+    # cells in cells() order, then losses as configured, then trials; the
+    # rows are laid out by position, so each order is pinned here
+    cfg = tiny_config(n_over_d=[5, 6], p_fail=[0.0, 0.2])
+    cells = [(nd, p_fail) for nd, p_fail, _ in cfg.cells()]
+    labels = [loss_label(spec) for spec in cfg.losses]
+    for workers in (1, 2):
+        result = run_sweep(cfg, workers=workers)
+        assert [(r["n_over_d"], r["p_fail"], r["loss"], r["trial"])
+                for r in result.trial_rows] == [
+            (*cell, label, t) for cell in cells for label in labels for t in range(2)]
+        assert [(r["n_over_d"], r["p_fail"], r["loss"]) for r in result.summary_rows] == [
+            (*cell, label) for cell in cells for label in labels]
 
 
 def test_sweep_deterministic_across_workers(tmp_path):

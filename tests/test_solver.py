@@ -292,6 +292,15 @@ def test_solver_config_validation():
         with pytest.raises(ValueError):
             SolverConfig(**bad)
     assert SolverConfig(max_iters=np.int64(7), time_cap_seconds=None).max_iters == 7
+    # a bool is no number (max_iters=True would run one step, a true cap
+    # would stop after 1 s), and store_iterates takes only a bool
+    for bad in ({"max_iters": True}, {"time_cap_seconds": True}, {"alpha": True},
+                {"eta": True}, {"rel_tol": True}, {"rel_tol": np.False_}):
+        with pytest.raises(ValueError, match="number"):
+            SolverConfig(**bad)
+    for bad in ("no", 1, None):
+        with pytest.raises(ValueError, match="store_iterates"):
+            SolverConfig(store_iterates=bad)
 
 
 def test_write_trace_round_trip(tmp_path):
