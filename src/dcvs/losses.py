@@ -79,11 +79,14 @@ def make_loss(name, n, lam=1.0, beta=None, K=None):
 
     ``lam``/``beta`` parametrize the MCP, ``beta`` alone the capped l1,
     and ``K`` (the integer number of ignored largest residuals,
-    ``0 <= K < n``) the trimmed l1; a parameter the loss does not take is
-    rejected.  The closures call the :mod:`dcvs.prox` functions.
+    ``0 <= K < n``) the trimmed l1; a parameter the loss does not take,
+    or a bool in place of a number, is rejected.  The closures call the
+    :mod:`dcvs.prox` functions.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    for key, v in (("lam", lam), ("beta", beta), ("K", K)):
+        _not_bool(v, key)
     sqrt_n = float(np.sqrt(n))
 
     if name == "l1":

@@ -28,6 +28,11 @@ def test_make_loss_validation():
         with pytest.raises(ValueError):
             make_loss("trimmed_l1", 10, K=K)
     assert make_loss("trimmed_l1", 10, K=np.int64(2)).params == {"K": 2}
+    # a bool is no number: K=True would trim one residual, beta=True be 1.0
+    for name, kwargs in [("trimmed_l1", {"K": True}), ("capped_l1", {"beta": True}),
+                         ("mcp", {"lam": True, "beta": 2.0})]:
+        with pytest.raises(ValueError, match="number"):
+            make_loss(name, 10, **kwargs)
     with pytest.raises(ValueError):
         make_loss("unknown", 4)
     # a parameter the named loss does not take is an error, not ignored
