@@ -19,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from .losses import _check_keys, _not_bool, loss_from_spec, loss_label, spec_params
+from .losses import _check_keys, _number, loss_from_spec, loss_label, spec_params
 from .maps import rpr_map
 from .retrieval import _check_instance_args, generate_instance, spectral_init, success
 from .solver import SolverConfig, SolverError, solve, write_csv
@@ -61,8 +61,18 @@ class SweepConfig:
     def __post_init__(self):
         if not isinstance(self.solver, SolverConfig):
             raise ValueError(f"solver must be a SolverConfig, got {self.solver!r}")
-        for key, cast in _CONFIG_CASTS.items():
-            setattr(self, key, cast(getattr(self, key)))
+        for key in ("n_over_d", "p_fail", "s", "losses"):
+            if not isinstance(getattr(self, key), (list, tuple)):
+                raise ValueError(f"{key} must be a list, got {getattr(self, key)!r}")
+        # numbers are normalised, so that CSV text does not depend on whether
+        # a config wrote 0 or 0.0, or on how the config was built
+        for key in ("d", "trials", "base_seed"):
+            setattr(self, key, _number(getattr(self, key), key, integral=True))
+        self.n_over_d = [_number(v, "n_over_d", integral=True) for v in self.n_over_d]
+        self.p_fail = [_number(v, "p_fail") for v in self.p_fail]
+        self.s = [_number(v, "s") for v in self.s]
+        self.noise_variance = _number(self.noise_variance, "noise_variance")
+        self.losses = list(self.losses)
         if not (self.n_over_d and self.p_fail and self.s and self.losses):
             raise ValueError("all grids and the loss list must be nonempty")
         if self.trials < 1:
@@ -221,28 +231,6 @@ def emit_outputs(result, out_dir):
     return written
 
 
-def _integral(v):
-    """``v`` as an int: ``5.0`` passes as 5; ``5.5`` and ``True`` are errors."""
-    i = int(_not_bool(v))
-    if i != v:
-        raise ValueError(f"expected an integer, got {v!r}")
-    return i
-
-
-# Field coercions applied by SweepConfig, so that CSV text does not depend
-# on whether a config wrote 0 or 0.0, or on how the config was built.
-_CONFIG_CASTS = {
-    "d": _integral,
-    "n_over_d": lambda v: [_integral(x) for x in v],
-    "p_fail": lambda v: [float(_not_bool(x)) for x in v],
-    "s": lambda v: [float(_not_bool(x)) for x in v],
-    "losses": list,
-    "trials": _integral,
-    "base_seed": _integral,
-    "noise_variance": lambda v: float(_not_bool(v)),
-}
-
-
 def sweep_config_from_dict(raw):
     """Build a :class:`SweepConfig` from parsed JSON; anything omitted
     takes the :class:`SweepConfig` / :class:`SolverConfig` default.
@@ -255,6 +243,8 @@ def sweep_config_from_dict(raw):
     _check_keys("sweep config", kwargs, [f.name for f in fields(SweepConfig)],
                 required=("d", "n_over_d", "p_fail", "losses"))
     solver_raw = kwargs.get("solver", {})
+    if not isinstance(solver_raw, dict):
+        raise ValueError(f"solver must be an object of SolverConfig fields, got {solver_raw!r}")
     _check_keys("solver block", solver_raw, [f.name for f in fields(SolverConfig)])
     kwargs["solver"] = SolverConfig(**solver_raw)
     return SweepConfig(**kwargs)

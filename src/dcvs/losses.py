@@ -47,7 +47,7 @@ LOSS_SPECS = {
     "capped_l1": ({"beta": REQUIRED}, "capped_l1_beta{beta:g}",
                   lambda p, n: {"beta": p["beta"]}),
     "trimmed_l1": ({"K_over_n": REQUIRED}, "trimmed_l1_Kn{K_over_n:g}",
-                   lambda p, n: {"K": int(round(p["K_over_n"] * n))}),
+                   lambda p, n: {"K": round(p["K_over_n"] * n)}),
 }
 
 # Largest admissible smoothing scale, 1/(2*eta) at the smoothing cap eta = 0.5.
@@ -80,13 +80,13 @@ def make_loss(name, n, lam=1.0, beta=None, K=None):
     ``lam``/``beta`` parametrize the MCP, ``beta`` alone the capped l1,
     and ``K`` (the integer number of ignored largest residuals,
     ``0 <= K < n``) the trimmed l1; a parameter the loss does not take,
-    or a bool in place of a number, is rejected.  The closures call the
-    :mod:`dcvs.prox` functions.
+    or anything but a number in place of one, is rejected.  The closures
+    call the :mod:`dcvs.prox` functions.
     """
+    n, lam = _number(n, "n", integral=True), _number(lam, "lam")
     if n < 1:
         raise ValueError("n must be at least 1")
-    for key, v in (("lam", lam), ("beta", beta), ("K", K)):
-        _not_bool(v, key)
+    beta = None if beta is None else _number(beta, "beta")
     sqrt_n = float(np.sqrt(n))
 
     if name == "l1":
@@ -96,19 +96,20 @@ def make_loss(name, n, lam=1.0, beta=None, K=None):
     elif name == "mcp":
         if not (lam > 0 and beta is not None and beta > 0):
             raise ValueError("mcp needs lam > 0 and beta > 0")
-        params, L_g = {"lam": float(lam), "beta": float(beta)}, lam * sqrt_n
+        params, L_g = {"lam": lam, "beta": beta}, lam * sqrt_n
         g_value = lambda z: float(huber_value(z, lam, beta).sum())
         g_prox = lambda z, mu: prox_huber(z, lam, beta, mu)
     elif name == "capped_l1":
         if beta is None or not beta > 0:
             raise ValueError("capped_l1 needs beta > 0")
-        params, L_g = {"beta": float(beta)}, sqrt_n
+        params, L_g = {"beta": beta}, sqrt_n
         g_value = lambda z: float(np.maximum(np.abs(z) - beta, 0.0).sum())
         g_prox = lambda z, mu: prox_capped_complement(z, beta, mu)
     elif name == "trimmed_l1":
+        # an integer type only: K=2.0 is an error, not read as 2
         if not (isinstance(K, (int, np.integer)) and 0 <= K < n):
-            raise ValueError(f"trimmed_l1 needs an integer 0 <= K < n, got K={K}, n={n}")
-        K = int(K)
+            raise ValueError(f"trimmed_l1 needs an integer 0 <= K < n, got K={K!r}, n={n}")
+        K = _number(K, "K", integral=True)
         params, L_g = {"K": K}, float(np.sqrt(K))
         g_value = lambda z: topk_value(z, K)
         g_prox = lambda z, mu: prox_topk(z, K, mu)
@@ -137,11 +138,19 @@ def _check_keys(what, keys, allowed, required=()):
                          f"{missing} (allowed: {sorted(allowed)})")
 
 
-def _not_bool(v, what="value"):
-    """``v``, checked not to be a bool: JSON ``true`` is no number."""
-    if isinstance(v, (bool, np.bool_)):
-        raise ValueError(f"{what} must be a number, got {v!r}")
-    return v
+def _number(value, name, integral=False):
+    """``value``, a Python or numpy int or float, as a float, or as an int
+    when ``integral`` (``5.0`` reads as 5).  Anything else is a
+    ``ValueError`` that names ``name``: a bool (JSON ``true`` is no
+    number), a string, ``None``, and for a count a fraction, inf or NaN.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not integral:
+        return float(value)
+    if not (isinstance(value, (int, np.integer)) or float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def spec_params(spec):
@@ -153,7 +162,7 @@ def spec_params(spec):
     keys = LOSS_SPECS[name][0]
     _check_keys(f"loss spec {spec!r}", spec, {"name", *keys},
                 required=[k for k, default in keys.items() if default is REQUIRED])
-    return name, {k: float(_not_bool(spec.get(k, default), k)) for k, default in keys.items()}
+    return name, {k: _number(spec.get(k, default), k) for k, default in keys.items()}
 
 
 def loss_from_spec(spec, n):

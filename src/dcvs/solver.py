@@ -9,12 +9,12 @@ Armijo backtracking; no inner subproblem loop is needed.
 
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .losses import MU_MAX, _not_bool, surrogate_at_residual
+from .losses import MU_MAX, _number, surrogate_at_residual
 
 __all__ = (
     "SolverConfig",
@@ -66,26 +66,27 @@ class SolverConfig:
     def __post_init__(self):
         if not isinstance(self.store_iterates, bool):
             raise ValueError(f"store_iterates must be a bool, got {self.store_iterates!r}")
-        for f in fields(self):
-            if f.name != "store_iterates":
-                _not_bool(getattr(self, f.name), f.name)
+        for key in ("alpha", "eta", "rho", "c", "rel_tol"):
+            setattr(self, key, _number(getattr(self, key), key))
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (0, 1)")
         if not 0.0 < self.c < 1.0:
             raise ValueError("c must lie in (0, 1)")
-        if not self.alpha >= 1.0:
-            raise ValueError("alpha must be >= 1")
-        # mu_schedule rejects eta <= 0; its first, largest scale 1/(2*eta)
-        # must respect the smoothing cap
+        # mu_schedule rejects eta <= 0 and alpha < 1; its first, largest
+        # scale 1/(2*eta) must respect the smoothing cap
         if mu_schedule(1, self.eta, self.alpha) > MU_MAX * (1.0 + 1e-12):
             raise ValueError(f"schedule exceeds the smoothing cap {MU_MAX}: "
                              f"need eta >= {1.0 / (2.0 * MU_MAX)}")
         if not self.rel_tol >= 0.0:  # false for NaN too
             raise ValueError("rel_tol must be nonnegative")
+        # an integer type only: max_iters=3.0 is an error, not read as 3
         if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
-            raise ValueError("max_iters must be an integer >= 1")
-        if self.time_cap_seconds is not None and not self.time_cap_seconds > 0.0:
-            raise ValueError("time_cap_seconds must be positive or None")
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        self.max_iters = _number(self.max_iters, "max_iters", integral=True)
+        if self.time_cap_seconds is not None:
+            self.time_cap_seconds = _number(self.time_cap_seconds, "time_cap_seconds")
+            if not self.time_cap_seconds > 0.0:
+                raise ValueError("time_cap_seconds must be positive or None")
 
 
 @dataclass

@@ -28,7 +28,7 @@ def catalog_losses(n):
 
 # loss specs the spec table rejects: a misspelt key with and without the
 # required one, a missing required key, a key the loss does not take, an
-# unknown name, a bool where a number belongs
+# unknown name, a bool, a numeric string or null where a number belongs
 BAD_LOSS_SPECS = [
     {"name": "mcp", "lam": 5},
     {"name": "mcp", "lam": 5, "beta": 1000},
@@ -36,6 +36,8 @@ BAD_LOSS_SPECS = [
     {"name": "l1", "beta": 1},
     {"name": "nope"},
     {"name": "capped_l1", "beta": True},
+    {"name": "capped_l1", "beta": "1000"},
+    {"name": "mcp", "beta": None},
 ]
 
 

@@ -78,6 +78,10 @@ def test_sweep_config_keys():
         sweep_config_from_dict(minimal_raw(solver={"gamma_init_rule": "constant"}))
     with pytest.raises(ValueError):
         sweep_config_from_dict(minimal_raw(trails=3))
+    # the solver block is an object of SolverConfig fields
+    for bad in (None, 5, [["rho", 0.5]]):
+        with pytest.raises(ValueError, match="^solver must be"):
+            sweep_config_from_dict(minimal_raw(solver=bad))
     with pytest.raises(ValueError):
         sweep_config_from_dict({"d": 10, "n_over_d": [5], "p_fail": [0.1]})
     # a schedule above the smoothing cap fails at load, not in the first solve
@@ -98,16 +102,29 @@ def test_config_validation():
         tiny_config(p_fail=[])
     with pytest.raises(ValueError):
         tiny_config(losses=[{"name": "capped_l1"}])  # missing beta
-    # counts must be integral, and the base seed nonnegative
+    # counts must be integral (JSON's Infinity and NaN are not), and the
+    # base seed nonnegative; each error names its field
     for bad in ({"trials": 2.5}, {"d": 8.7}, {"n_over_d": [5.5]},
-                {"base_seed": 1.5}, {"base_seed": -1}):
-        with pytest.raises(ValueError):
+                {"base_seed": 1.5}, {"base_seed": -1},
+                {"trials": float("inf")}, {"d": float("nan")},
+                {"n_over_d": [5, float("inf")]}, {"base_seed": float("nan")}):
+        with pytest.raises(ValueError, match=rf"^{next(iter(bad))} must be"):
             tiny_config(**bad)
-    # a bool is no number: JSON true would read as 1 and false as 0
+    # a bool is no number: JSON true would read as 1 and false as 0; nor is
+    # a numeric string or null
     for bad in ({"d": True}, {"n_over_d": [True]}, {"trials": True},
                 {"base_seed": True}, {"p_fail": [0.2, False]}, {"s": [True]},
-                {"noise_variance": True}):
-        with pytest.raises(ValueError, match="number"):
+                {"noise_variance": True},
+                {"p_fail": ["0.1"]}, {"s": ["1"]}, {"noise_variance": "1e-6"},
+                {"n_over_d": ["5"]}, {"d": None}, {"trials": None},
+                {"noise_variance": None}, {"p_fail": [None]}):
+        with pytest.raises(ValueError, match=rf"^{next(iter(bad))} must be a number"):
+            tiny_config(**bad)
+    # a grid or the loss list must be a list: a string would be read one
+    # character at a time, and a dict by its keys
+    for bad in ({"p_fail": "0"}, {"s": "1"}, {"n_over_d": 5},
+                {"losses": {"name": "l1"}}):
+        with pytest.raises(ValueError, match=rf"^{next(iter(bad))} must be a list"):
             tiny_config(**bad)
     # the solver block is a SolverConfig; a dict would fail in the first
     # trial, and None would be a second spelling of the defaults

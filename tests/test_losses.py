@@ -28,11 +28,15 @@ def test_make_loss_validation():
         with pytest.raises(ValueError):
             make_loss("trimmed_l1", 10, K=K)
     assert make_loss("trimmed_l1", 10, K=np.int64(2)).params == {"K": 2}
-    # a bool is no number: K=True would trim one residual, beta=True be 1.0
+    # a bool is no number (K=True would trim one residual, beta=True be
+    # 1.0), nor is a string; the residual dimension n must be an integer
     for name, kwargs in [("trimmed_l1", {"K": True}), ("capped_l1", {"beta": True}),
-                         ("mcp", {"lam": True, "beta": 2.0})]:
+                         ("mcp", {"lam": True, "beta": 2.0}), ("capped_l1", {"beta": "1"})]:
         with pytest.raises(ValueError, match="number"):
             make_loss(name, 10, **kwargs)
+    for n in (2.5, True):
+        with pytest.raises(ValueError, match="^n must be"):
+            make_loss("l1", n)
     with pytest.raises(ValueError):
         make_loss("unknown", 4)
     # a parameter the named loss does not take is an error, not ignored

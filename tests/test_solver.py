@@ -293,10 +293,13 @@ def test_solver_config_validation():
             SolverConfig(**bad)
     assert SolverConfig(max_iters=np.int64(7), time_cap_seconds=None).max_iters == 7
     # a bool is no number (max_iters=True would run one step, a true cap
-    # would stop after 1 s), and store_iterates takes only a bool
+    # would stop after 1 s), nor is a numeric string or None, and
+    # store_iterates takes only a bool
     for bad in ({"max_iters": True}, {"time_cap_seconds": True}, {"alpha": True},
-                {"eta": True}, {"rel_tol": True}, {"rel_tol": np.False_}):
-        with pytest.raises(ValueError, match="number"):
+                {"eta": True}, {"rel_tol": True}, {"rel_tol": np.False_},
+                {"rho": "0.5"}, {"time_cap_seconds": "30"}, {"alpha": "3"},
+                {"c": "1e-4"}, {"rel_tol": None}, {"alpha": None}, {"eta": None}):
+        with pytest.raises(ValueError, match=rf"^{next(iter(bad))} must be a number"):
             SolverConfig(**bad)
     for bad in ("no", 1, None):
         with pytest.raises(ValueError, match="store_iterates"):
