@@ -5,15 +5,15 @@ than a comment, with blank lines and docstrings left out.
 
 Takes files or directories (searched for ``*.py``), prints one count per
 file and the total.  A docstring is the string statement that opens a
-module, class or function body; every line it spans is left out.  A line
-that a multi-line expression or string spans counts once per line.
+module, class or function body; every line it spans is left out.  Each
+line of a statement or string that spans several lines counts.
 """
 
 import ast
 import io
-import os
 import sys
 import tokenize
+from pathlib import Path
 
 SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -42,14 +42,8 @@ def code_lines(source):
 
 
 def python_files(paths):
-    for path in paths:
-        if os.path.isdir(path):
-            for root, dirs, names in os.walk(path):
-                dirs.sort()
-                yield from (os.path.join(root, name) for name in sorted(names)
-                            if name.endswith(".py"))
-        else:
-            yield path
+    for path in map(Path, paths):
+        yield from sorted(path.rglob("*.py")) if path.is_dir() else [path]
 
 
 def main(argv):
