@@ -239,6 +239,8 @@ def sweep_config_from_dict(raw):
     keys raise ``ValueError``; top-level keys starting with ``_`` are
     comments and are ignored.
     """
+    if not isinstance(raw, dict):
+        raise ValueError(f"sweep config must be an object, got {raw!r}")
     kwargs = {k: v for k, v in raw.items() if not k.startswith("_")}
     _check_keys("sweep config", kwargs, [f.name for f in fields(SweepConfig)],
                 required=("d", "n_over_d", "p_fail", "losses"))

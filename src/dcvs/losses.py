@@ -155,14 +155,18 @@ def _number(value, name, integral=False):
 
 def spec_params(spec):
     """Check a loss spec against :data:`LOSS_SPECS`; return its name and
-    every parameter as a float, defaults filled in."""
+    every parameter as a finite float, defaults filled in."""
     name = spec.get("name") if isinstance(spec, dict) else None
     if name not in LOSS_SPECS:
         raise ValueError(f"loss spec {spec!r}: name must be one of {tuple(LOSS_SPECS)}")
     keys = LOSS_SPECS[name][0]
     _check_keys(f"loss spec {spec!r}", spec, {"name", *keys},
                 required=[k for k, default in keys.items() if default is REQUIRED])
-    return name, {k: _number(spec.get(k, default), k) for k, default in keys.items()}
+    params = {k: _number(spec.get(k, default), k) for k, default in keys.items()}
+    for k, v in params.items():
+        if not np.isfinite(v):
+            raise ValueError(f"{k} must be finite, got {v}")
+    return name, params
 
 
 def loss_from_spec(spec, n):

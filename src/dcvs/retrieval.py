@@ -43,8 +43,8 @@ def _check_instance_args(d, n, p_fail, s, outlier_kind, noise_variance):
         raise ValueError(f"p_fail must lie in [0, 1), got {p_fail}")
     if not 0 < s < np.inf:  # false for NaN too
         raise ValueError(f"s must be positive and finite, got {s}")
-    if not noise_variance >= 0:
-        raise ValueError(f"noise_variance must be nonnegative, got {noise_variance}")
+    if not 0 <= noise_variance < np.inf:
+        raise ValueError(f"noise_variance must be nonnegative and finite, got {noise_variance}")
     if outlier_kind not in OUTLIER_KINDS:
         raise ValueError(f"outlier_kind must be one of {OUTLIER_KINDS}")
     n_out = int(round(p_fail * n))

@@ -161,32 +161,34 @@ def surrogate_value(loss, smooth_map, x, mu):
     return surrogate_at_residual(loss, z, mu, grad=False)
 
 
-def backtrack(eval_Fk, x, Fk_x, grad, gamma_init, rho, c):
+def backtrack(eval_Fk, x, Fk_x, grad, g2, gamma_init, rho, c):
     """Armijo backtracking along the negative gradient.
 
-    Returns the largest ``gamma in {gamma_init * rho^j}`` with
-    ``F_k(x - gamma*grad) <= F_k(x) - c*gamma*||grad||^2`` together with
-    the number of shrinkages.  The gradient must be nonzero (a stationary
-    point admits no line search); a hard cap of :data:`MAX_BACKTRACKS`
-    shrinkages turns floating-point pathologies into a loud failure
-    instead of a hang.
+    ``eval_Fk(y)`` returns ``(F_k(y), trial)``, where ``trial`` is what
+    the caller wants back for an accepted point.  Returns the largest
+    ``gamma in {gamma_init * rho^j}`` with
+    ``F_k(x - gamma*grad) <= F_k(x) - c*gamma*g2``, the number of
+    shrinkages and the accepted point's ``trial``.  ``g2`` is
+    ``grad.dot(grad)``, which the caller has already formed.  The gradient
+    must be nonzero (a stationary point admits no line search); a hard cap
+    of :data:`MAX_BACKTRACKS` shrinkages turns floating-point pathologies
+    into a loud failure instead of a hang.
     """
-    grad = np.asarray(grad, dtype=float)
-    g2 = float(grad.dot(grad))
     if g2 == 0.0:
         raise ValueError("zero gradient: the point is already stationary")
     if not gamma_init > 0:
         raise ValueError("gamma_init must be positive")
-    gamma = float(gamma_init)
-    count = 0
-    while eval_Fk(x - gamma * grad) > Fk_x - c * gamma * g2:
+    gamma, count = float(gamma_init), 0
+    while True:
+        value, trial = eval_Fk(x - gamma * grad)
+        if not value > Fk_x - c * gamma * g2:
+            return gamma, count, trial
         gamma *= rho
         count += 1
         if count > MAX_BACKTRACKS:
             raise SolverError(
                 f"Armijo backtracking exceeded {MAX_BACKTRACKS} shrinkages"
             )
-    return gamma, count
 
 
 def solve(loss, smooth_map, x1, config=None):
@@ -215,9 +217,8 @@ def solve(loss, smooth_map, x1, config=None):
     t0 = time.perf_counter()
     mus, f_vals, grad_norms, costs = [], [], [], []
     gammas, gamma_inits, backtracks = [], [], []
-    iterates = [] if cfg.store_iterates else None
+    iterates = [x.copy()] if cfg.store_iterates else None
     termination = None
-    trial = None  # the line search's last trial point: (y, S(y), Ay)
 
     # one residual serves the surrogate, the gradient and the true cost
     z, Ax = smooth_map.eval(x)
@@ -230,7 +231,7 @@ def solve(loss, smooth_map, x1, config=None):
         # np.linalg.norm(grad) is sqrt(grad.dot(grad)).  A finite sum of
         # squares proves every entry finite; only when it is not (an entry
         # is not, or the sum overflowed) are the entries scanned.
-        g2 = grad.dot(grad)
+        g2 = float(grad.dot(grad))
         if not (math.isfinite(Fk) and math.isfinite(g2)):
             if not (math.isfinite(Fk) and np.all(np.isfinite(grad))):
                 raise SolverError(f"non-finite surrogate at iteration {k}", iteration=k)
@@ -241,8 +242,6 @@ def solve(loss, smooth_map, x1, config=None):
         f_vals.append(Fk)
         grad_norms.append(gn)
         costs.append(cost)
-        if iterates is not None:
-            iterates.append(x.copy())
 
         if len(costs) > 1:
             prev_cost = costs[-2]
@@ -261,23 +260,20 @@ def solve(loss, smooth_map, x1, config=None):
         ginit = gammas[-1] if gammas else max(1.0, 1.0 / gn)
 
         def eval_Fk(y, _mu=mu):
-            nonlocal trial
             z_y, Ax_y = smooth_map.eval(y)
-            trial = (y, z_y, Ax_y)
-            return surrogate_at_residual(loss, z_y, _mu, grad=False)
+            return surrogate_at_residual(loss, z_y, _mu, grad=False), (y, z_y, Ax_y)
 
         try:
-            gamma, nbt = backtrack(eval_Fk, x, Fk, grad, ginit, cfg.rho, cfg.c)
+            gamma, nbt, (x, z, Ax) = backtrack(eval_Fk, x, Fk, grad, g2, ginit,
+                                               cfg.rho, cfg.c)
         except SolverError as err:
             err.iteration = k
             raise
-
-        # backtrack returns on the trial it accepted, so the last trial is
-        # x - gamma * grad
-        x, z, Ax = trial
         gammas.append(gamma)
         gamma_inits.append(ginit)
         backtracks.append(nbt)
+        if iterates is not None:
+            iterates.append(x.copy())
 
         if k >= cfg.max_iters:
             termination = "max_iters"
@@ -288,10 +284,6 @@ def solve(loss, smooth_map, x1, config=None):
         ):
             termination = "time_cap"
             break
-
-    # a run that ended on a step has not recorded the iterate it stepped to
-    if iterates is not None and len(gammas) == len(mus):
-        iterates.append(x.copy())
 
     return RunRecord(
         x_final=x,

@@ -28,7 +28,8 @@ def catalog_losses(n):
 
 # loss specs the spec table rejects: a misspelt key with and without the
 # required one, a missing required key, a key the loss does not take, an
-# unknown name, a bool, a numeric string or null where a number belongs
+# unknown name, a bool, a numeric string or null where a number belongs,
+# and an infinite or NaN number
 BAD_LOSS_SPECS = [
     {"name": "mcp", "lam": 5},
     {"name": "mcp", "lam": 5, "beta": 1000},
@@ -38,6 +39,8 @@ BAD_LOSS_SPECS = [
     {"name": "capped_l1", "beta": True},
     {"name": "capped_l1", "beta": "1000"},
     {"name": "mcp", "beta": None},
+    {"name": "trimmed_l1", "K_over_n": float("inf")},
+    {"name": "trimmed_l1", "K_over_n": float("nan")},
 ]
 
 

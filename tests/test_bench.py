@@ -84,6 +84,10 @@ def test_sweep_config_keys():
             sweep_config_from_dict(minimal_raw(solver=bad))
     with pytest.raises(ValueError):
         sweep_config_from_dict({"d": 10, "n_over_d": [5], "p_fail": [0.1]})
+    # so is the config itself: a JSON list or string has no keys
+    for bad in ([1, 2], "x"):
+        with pytest.raises(ValueError, match="^sweep config must be an object"):
+            sweep_config_from_dict(bad)
     # a schedule above the smoothing cap fails at load, not in the first solve
     with pytest.raises(ValueError):
         sweep_config_from_dict(minimal_raw(solver={"eta": 0.25}))
@@ -136,7 +140,8 @@ def test_config_validation():
     # instance arguments are checked for every cell (n = 40 here)
     for bad in ({"p_fail": [0.2, 1.5]}, {"s": [0.0]}, {"noise_variance": -1},
                 {"outlier_kind": "gauss"}, {"p_fail": [0.99]},
-                {"noise_variance": float("nan")}, {"s": [1.0, float("inf")]},
+                {"noise_variance": float("nan")}, {"noise_variance": float("inf")},
+                {"s": [1.0, float("inf")]},
                 {"s": [float("nan")]}):
         with pytest.raises(ValueError):
             tiny_config(**bad)

@@ -63,13 +63,13 @@ def test_generate_instance_validation():
         generate_instance(2, 10, 0.1, -1.0)
     with pytest.raises(ValueError):
         generate_instance(2, 10, 0.1, 1.0, outlier_kind="weird")
-    # NaN fails every ordered comparison, and an infinite scale writes
-    # infinite outliers
+    # NaN fails every ordered comparison, an infinite scale writes infinite
+    # outliers and an infinite noise variance infinite measurements
     nan, inf = float("nan"), float("inf")
     for s in (nan, inf):
         with pytest.raises(ValueError, match="s must be positive and finite"):
             generate_instance(5, 20, 0.1, s)
-    for noise in (nan, -1e-6):
+    for noise in (nan, -1e-6, inf):
         with pytest.raises(ValueError, match="noise_variance must be nonnegative"):
             generate_instance(5, 20, 0.0, 1.0, noise_variance=noise)
 

@@ -63,31 +63,43 @@ def test_surrogate_oracle_trimmed_k0_matches_l1():
 
 def test_backtrack_immediate_accept():
     # evaluator already satisfying the Armijo test at gamma_init
-    gamma, count = backtrack(
-        lambda z: 0.0, np.array([1.0]), 1.0, np.array([1.0]), 0.5, 0.8, 1e-4
+    gamma, count, _ = backtrack(
+        lambda z: (0.0, z), np.array([1.0]), 1.0, np.array([1.0]), 1.0, 0.5, 0.8, 1e-4
     )
     assert (gamma, count) == (0.5, 0)
 
 
 def test_backtrack_frozen_quadratic_example():
-    gamma, count = backtrack(
-        lambda z: float(z[0] ** 2), np.array([1.0]), 1.0, np.array([2.0]),
-        1.0, 0.8, 1e-4,
+    gamma, count, _ = backtrack(
+        lambda z: (float(z[0] ** 2), z), np.array([1.0]), 1.0, np.array([2.0]),
+        4.0, 1.0, 0.8, 1e-4,
     )
     assert gamma == pytest.approx(0.8)
     assert count == 1
 
 
+def test_backtrack_returns_the_accepted_trial():
+    # the quadratic rejects gamma = 1 and accepts 0.8; the trial handed back
+    # is the one evaluated at the returned gamma, not an earlier one
+    x, grad = np.array([1.0, -0.5]), np.array([2.0, -1.0])
+    f = lambda y: float(y @ y)
+    gamma, count, trial = backtrack(lambda y: (f(y), y), x, f(x), grad,
+                                    float(grad @ grad), 1.0, 0.8, 1e-4)
+    assert count >= 1
+    assert np.array_equal(trial, x - gamma * grad)
+
+
 def test_backtrack_zero_gradient_rejected():
     with pytest.raises(ValueError):
-        backtrack(lambda z: 0.0, np.array([1.0]), 1.0, np.array([0.0]), 1.0, 0.8, 1e-4)
+        backtrack(lambda z: (0.0, z), np.array([1.0]), 1.0, np.array([0.0]), 0.0,
+                  1.0, 0.8, 1e-4)
 
 
 def test_backtrack_cap_is_loud(monkeypatch):
     monkeypatch.setattr(dcvs.solver, "MAX_BACKTRACKS", 20)
     with pytest.raises(SolverError):
-        backtrack(lambda z: np.inf, np.array([1.0]), 1.0, np.array([1.0]),
-                  1.0, 0.8, 1e-4)
+        backtrack(lambda z: (np.inf, z), np.array([1.0]), 1.0, np.array([1.0]),
+                  1.0, 1.0, 0.8, 1e-4)
 
 
 def test_backtrack_below_descent_threshold_accepts_first():
@@ -95,9 +107,9 @@ def test_backtrack_below_descent_threshold_accepts_first():
     # passes the Armijo test immediately
     c = 1e-6
     for gamma_init in (0.2, 0.5, 0.9):
-        gamma, count = backtrack(
-            lambda z: float(z @ z), np.array([1.0]), 1.0, np.array([2.0]),
-            gamma_init, 0.8, c,
+        gamma, count, _ = backtrack(
+            lambda z: (float(z @ z), z), np.array([1.0]), 1.0, np.array([2.0]),
+            4.0, gamma_init, 0.8, c,
         )
         assert gamma == gamma_init and count == 0
 
