@@ -16,26 +16,29 @@ each solve, in that order.  The defaults are the seed-0 block of
 perfbench's ``solve-d100`` workload; ``--d 400 --n 4000 --seeds 4`` is
 that of ``solve-d400``.
 
+It imports ``dcvs`` from the ``src`` directory of the checkout it sits
+in, so a copy of this file in another checkout hashes that checkout.
 BLAS runs on one thread, pinned before numpy loads: the iteration counts
 differ at two.  The hash is a property of the machine's BLAS too, so
 compare it only between runs on one machine.
 """
 
+import argparse
+import hashlib
 import os
+import sys
+from collections import Counter
+from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-    os.environ[_var] = "1"
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+            "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[var] = "1"
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import argparse  # noqa: E402
-import hashlib  # noqa: E402
-import sys  # noqa: E402
-from collections import Counter  # noqa: E402
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-from dcvs import SolverConfig, make_loss, solve  # noqa: E402
-from dcvs.bench import seeded_problem  # noqa: E402
+from dcvs import SolverConfig, make_loss, solve
+from dcvs.bench import seeded_problem
 
 HASHED = ("x_final", "mus", "surrogate_values", "grad_norms", "cost_values",
           "gammas", "gamma_inits", "backtrack_counts")
