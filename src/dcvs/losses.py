@@ -94,14 +94,14 @@ def make_loss(name, n, lam=1.0, beta=None, K=None):
         g_value = lambda z: 0.0
         g_prox = lambda z, mu: z.copy()
     elif name == "mcp":
-        if not (lam > 0 and beta is not None and beta > 0):
-            raise ValueError("mcp needs lam > 0 and beta > 0")
+        if not (0 < lam < np.inf and beta is not None and 0 < beta < np.inf):
+            raise ValueError("mcp needs finite lam > 0 and beta > 0")
         params, L_g = {"lam": lam, "beta": beta}, lam * sqrt_n
         g_value = lambda z: float(huber_value(z, lam, beta).sum())
         g_prox = lambda z, mu: prox_huber(z, lam, beta, mu)
     elif name == "capped_l1":
-        if beta is None or not beta > 0:
-            raise ValueError("capped_l1 needs beta > 0")
+        if beta is None or not 0 < beta < np.inf:
+            raise ValueError("capped_l1 needs a finite beta > 0")
         params, L_g = {"beta": beta}, sqrt_n
         g_value = lambda z: float(np.maximum(np.abs(z) - beta, 0.0).sum())
         g_prox = lambda z, mu: prox_capped_complement(z, beta, mu)

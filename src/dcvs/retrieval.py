@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .losses import _number
+
 __all__ = (
     "Instance",
     "generate_instance",
@@ -61,9 +63,13 @@ def generate_instance(d, n, p_fail, s, outlier_kind="cauchy",
     to +-1), noise (n normals), outlier positions (choice without
     replacement), outlier uniforms ``u_i``.  Outlier values are
     ``s*M*tan(0.5*pi*u)`` (cauchy) or ``s*M*u`` (uniform) with ``M`` the
-    largest clean measurement; they replace the affected entries.
+    largest clean measurement; they replace the affected entries.  ``seed``
+    is an integer >= 0.
     """
     n_out = _check_instance_args(d, n, p_fail, s, outlier_kind, noise_variance)
+    seed = _number(seed, "seed", integral=True)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, d))
     x_star = np.where(rng.random(d) < 0.5, 1.0, -1.0)

@@ -7,6 +7,7 @@ the surrogate tightens as the iteration proceeds.  Stepsizes come from
 Armijo backtracking; no inner subproblem loop is needed.
 """
 
+import csv
 import math
 import time
 from dataclasses import dataclass
@@ -72,8 +73,8 @@ class SolverConfig:
             raise ValueError("rho must lie in (0, 1)")
         if not 0.0 < self.c < 1.0:
             raise ValueError("c must lie in (0, 1)")
-        # mu_schedule rejects eta <= 0 and alpha < 1; its first, largest
-        # scale 1/(2*eta) must respect the smoothing cap
+        # mu_schedule rejects eta <= 0 and an alpha outside [1, inf); its
+        # first, largest scale 1/(2*eta) must respect the smoothing cap
         if mu_schedule(1, self.eta, self.alpha) > MU_MAX * (1.0 + 1e-12):
             raise ValueError(f"schedule exceeds the smoothing cap {MU_MAX}: "
                              f"need eta >= {1.0 / (2.0 * MU_MAX)}")
@@ -83,6 +84,9 @@ class SolverConfig:
         if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         self.max_iters = _number(self.max_iters, "max_iters", integral=True)
+        # and its last, smallest scale must not underflow to 0 (a huge eta)
+        if not mu_schedule(self.max_iters, self.eta, self.alpha) > 0.0:
+            raise ValueError(f"eta must keep mu_{self.max_iters} > 0, got {self.eta}")
         if self.time_cap_seconds is not None:
             self.time_cap_seconds = _number(self.time_cap_seconds, "time_cap_seconds")
             if not self.time_cap_seconds > 0.0:
@@ -132,14 +136,14 @@ def mu_schedule(k, eta, alpha):
     """Smoothing scale at iteration ``k``: ``(2*eta)^{-1} * k^{-1/alpha}``.
 
     Nonincreasing in ``k``, bounded by ``(2*eta)^{-1}``, and summing to
-    infinity for any ``alpha >= 1``.
+    infinity for any finite ``alpha >= 1``.
     """
     if k < 1 or int(k) != k:
         raise ValueError(f"k must be a positive integer, got {k}")
     if not eta > 0:
         raise ValueError("eta must be positive")
-    if not alpha >= 1:
-        raise ValueError("alpha must be >= 1")
+    if not 1 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 1, got {alpha}")
     return float(k) ** (-1.0 / alpha) / (2.0 * eta)
 
 
@@ -301,19 +305,15 @@ def solve(loss, smooth_map, x1, config=None):
 
 
 def write_csv(path, header, rows):
-    """Write ``header`` and ``rows`` (sequences of values) as CSV: UTF-8,
-    '\\n' line ends, floats as ``repr(float(v))`` (so numpy scalars print
-    as plain numbers) and everything else as ``str(v)``.  A cell holding
-    a comma (a loss's JSON ``params``) is quoted, with its ``"`` doubled;
-    every other cell is written bare."""
-
-    def cell(v):
-        s = repr(float(v)) if isinstance(v, float) else str(v)
-        return '"' + s.replace('"', '""') + '"' if "," in s else s
-
-    lines = [",".join(map(cell, line)) for line in (header, *rows)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write ``header`` and ``rows`` (sequences of values) as CSV through
+    the standard :mod:`csv` writer: UTF-8, '\\n' line ends, every value as
+    its ``str`` (a float's shortest round-trip form, numpy scalars
+    included).  A cell holding a comma, a ``"`` or a '\\n' is quoted, with
+    its ``"`` doubled (RFC 4180); every other cell is written bare.  (A
+    lone '\\r' would be written bare too; no cell of this package holds
+    one.)"""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 def write_trace(record, path):
@@ -325,9 +325,7 @@ def write_trace(record, path):
     therefore no row; it remains available on the :class:`RunRecord`
     arrays.
     """
-    rows = [
-        (i + 1, record.mus[i], record.surrogate_values[i], record.grad_norms[i],
-         record.gammas[i], record.backtrack_counts[i], record.cost_values[i])
-        for i in range(record.gammas.size)
-    ]
-    write_csv(path, TRACE_COLUMNS, rows)
+    # zip stops at the per-step length, before any terminal evaluation
+    write_csv(path, TRACE_COLUMNS, zip(range(1, record.iterations + 1), record.mus,
+                                       record.surrogate_values, record.grad_norms,
+                                       record.gammas, record.backtrack_counts, record.cost_values))

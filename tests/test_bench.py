@@ -91,6 +91,9 @@ def test_sweep_config_keys():
     # a schedule above the smoothing cap fails at load, not in the first solve
     with pytest.raises(ValueError):
         sweep_config_from_dict(minimal_raw(solver={"eta": 0.25}))
+    # so does one whose scale underflows to 0 (JSON's Infinity, as json reads it)
+    with pytest.raises(ValueError, match="^eta must"):
+        sweep_config_from_dict(minimal_raw(solver=json.loads('{"eta": Infinity}')))
     # "_" keys are comments; the solver block takes any SolverConfig field
     cfg = sweep_config_from_dict(minimal_raw(
         _comment="ignored", solver={"rho": 0.5, "time_cap_seconds": None},

@@ -48,6 +48,12 @@ def test_make_loss_validation():
                          ("capped_l1", {"beta": 1.0, "K": 1})]:
         with pytest.raises(ValueError, match="takes no"):
             make_loss(name, 10, **kwargs)
+    # an infinite parameter gives a NaN surrogate (mcp) or plain l1
+    # (capped_l1), as a loss spec already rejects it
+    for name, kwargs in [("mcp", {"beta": np.inf}), ("mcp", {"lam": np.inf, "beta": 1.0}),
+                         ("capped_l1", {"beta": np.inf})]:
+        with pytest.raises(ValueError, match="finite"):
+            make_loss(name, 3, **kwargs)
     # the default lam, as any spec-built loss passes it, is accepted
     assert make_loss("capped_l1", 10, lam=1.0, beta=1.0).L_f == make_loss("l1", 10).L_f
 

@@ -72,6 +72,10 @@ def test_generate_instance_validation():
     for noise in (nan, -1e-6, inf):
         with pytest.raises(ValueError, match="noise_variance must be nonnegative"):
             generate_instance(5, 20, 0.0, 1.0, noise_variance=noise)
+    # the seed is an integer >= 0: a bool is no number
+    for seed in (-1, 2.5, "3", True):
+        with pytest.raises(ValueError, match="^seed"):
+            generate_instance(5, 20, 0.0, 1.0, seed=seed)
 
 
 def test_spectral_init_shape_and_determinism():

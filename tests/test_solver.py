@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 
 import numpy as np
@@ -16,7 +17,7 @@ from dcvs import (
     surrogate_oracle,
 )
 import dcvs.solver
-from dcvs.solver import SolverError, surrogate_value, write_trace
+from dcvs.solver import SolverError, surrogate_value, write_csv, write_trace
 
 
 def test_mu_schedule_values():
@@ -295,6 +296,11 @@ def test_solver_config_validation():
         with pytest.raises(ValueError):
             SolverConfig(eta=eta)
     assert SolverConfig(eta=0.5).eta == 0.5
+    # a schedule whose scale underflows to 0 fails every solve at step 1,
+    # and an infinite alpha never decays: both fail when the config is built
+    for bad in ({"eta": float("inf")}, {"eta": 1e308}, {"alpha": float("inf")}):
+        with pytest.raises(ValueError, match=rf"^{next(iter(bad))} must"):
+            SolverConfig(**bad)
     # a NaN rel_tol would never stop, a non-positive time cap would stop
     # after one step and a NaN one never, and the budget counts steps
     for bad in ({"rel_tol": float("nan")}, {"rel_tol": -1e-9},
@@ -332,6 +338,17 @@ def test_write_trace_round_trip(tmp_path):
     assert float(first[1]) == rec.mus[0]
     assert float(first[4]) == rec.gammas[0]
     assert float(first[6]) == rec.cost_values[0]
+
+
+def test_write_csv_round_trips_any_cell(tmp_path):
+    # a JSON params cell, a comma, a leading quote, a line break, an empty
+    # cell and numbers all read back as their str
+    row = ['{"beta": 1000.0}', "a,b", '"q"', "line\nbreak", "",
+           np.float64(0.1), np.int64(3), float("inf")]
+    path = tmp_path / "cells.csv"
+    write_csv(path, [f"c{i}" for i in range(len(row))], [row])
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh))[1] == [str(v) for v in row]
 
 
 def test_mirrored_trajectory_from_negated_start():

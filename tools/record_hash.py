@@ -3,6 +3,8 @@ keeps the solver's output bit for bit.
 
     python3 tools/record_hash.py                                # d=100, n=1000, seeds 0-31
     python3 tools/record_hash.py --d 400 --n 4000 --seeds 4
+    python3 tools/record_hash.py --sweep                        # configs/reduced_sweep.json
+    python3 tools/record_hash.py --sweep CONFIG
 
 Builds each instance with ``bench.seeded_problem(d, n, p_fail, 1.0,
 "cauchy", 1e-6, seed)`` for seeds ``0 .. seeds-1`` and solves it from its
@@ -16,6 +18,16 @@ each solve, in that order.  The defaults are the seed-0 block of
 perfbench's ``solve-d100`` workload; ``--d 400 --n 4000 --seeds 4`` is
 that of ``solve-d400``.
 
+``--sweep [CONFIG]`` checks a sweep instead (``configs/reduced_sweep.json``
+by default).  It sets ``solver.time_cap_seconds`` to null and runs
+``run_sweep`` and ``emit_outputs`` at workers 1 and 2, each into a
+temporary directory.  It reads every written file back with
+``csv.reader`` and drops the wall-clock columns ``seconds`` and
+``mean_seconds``.  It exits 1 if the two worker counts wrote different
+cells; otherwise it prints a 16-hex sha256 of the parsed cells per file
+name.  Hashing parsed cells, not bytes, makes the lines independent of
+how the CSV encoder quotes a cell.
+
 It imports ``dcvs`` from the ``src`` directory of the checkout it sits
 in, so a copy of this file in another checkout hashes that checkout.
 BLAS runs on one thread, pinned before numpy loads: the iteration counts
@@ -24,24 +36,29 @@ compare it only between runs on one machine.
 """
 
 import argparse
+import csv
 import hashlib
+import json
 import os
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
     os.environ[var] = "1"
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np
 
 from dcvs import SolverConfig, make_loss, solve
-from dcvs.bench import seeded_problem
+from dcvs.bench import emit_outputs, run_sweep, seeded_problem, sweep_config_from_dict
 
 HASHED = ("x_final", "mus", "surrogate_values", "grad_norms", "cost_values",
           "gammas", "gamma_inits", "backtrack_counts")
+TIMING_COLUMNS = ("seconds", "mean_seconds")
 
 
 def losses(n):
@@ -53,13 +70,51 @@ def losses(n):
     }
 
 
+def cells_digest(path):
+    """sha256 of the cells of the CSV at ``path`` as ``csv.reader`` reads
+    them, with the wall-clock columns left out."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    keep = [j for j, col in enumerate(header) if col not in TIMING_COLUMNS]
+    cells = [[row[j] for j in keep] for row in (header, *rows)]
+    return hashlib.sha256(json.dumps(cells).encode()).hexdigest()
+
+
+def sweep_digests(raw, workers):
+    """``{file name: cells_digest}`` for one sweep run."""
+    with tempfile.TemporaryDirectory() as out:
+        paths = emit_outputs(run_sweep(sweep_config_from_dict(raw), workers=workers), out)
+        return {Path(path).name: cells_digest(path) for path in paths}
+
+
+def check_sweep(config_path):
+    with open(config_path, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["solver"] = {**raw.get("solver", {}), "time_cap_seconds": None}
+    serial, pooled = sweep_digests(raw, 1), sweep_digests(raw, 2)
+    differ = sorted(name for name in serial.keys() | pooled.keys()
+                    if serial.get(name) != pooled.get(name))
+    if differ:
+        print(f"workers 1 and 2 wrote different cells in {differ}")
+        return 1
+    print(f"sweep {Path(config_path).name}, time cap off: workers 1 and 2 agree")
+    for name, digest in serial.items():
+        print(f"sha256 {digest[:16]}  {name}")
+    return 0
+
+
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--d", type=int, default=100)
     parser.add_argument("--n", type=int, default=1000)
     parser.add_argument("--p-fail", type=float, default=0.4)
     parser.add_argument("--seeds", type=int, default=32)
+    parser.add_argument("--sweep", nargs="?", metavar="CONFIG",
+                        const=str(ROOT / "configs" / "reduced_sweep.json"),
+                        help="check a sweep config instead (default: the reduced sweep)")
     args = parser.parse_args(argv)
+    if args.sweep is not None:
+        return check_sweep(args.sweep)
 
     config = SolverConfig(time_cap_seconds=None)
     catalog = losses(args.n)
