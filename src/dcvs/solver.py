@@ -7,7 +7,6 @@ the surrogate tightens as the iteration proceeds.  Stepsizes come from
 Armijo backtracking; no inner subproblem loop is needed.
 """
 
-import csv
 import math
 import time
 from dataclasses import dataclass
@@ -312,6 +311,8 @@ def write_csv(path, header, rows):
     its ``"`` doubled (RFC 4180); every other cell is written bare.  (A
     lone '\\r' would be written bare too; no cell of this package holds
     one.)"""
+    import csv  # loaded on first write: a solve that writes no CSV does not pay for it
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
