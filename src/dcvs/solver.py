@@ -83,7 +83,7 @@ class SolverConfig:
         if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         self.max_iters = _number(self.max_iters, "max_iters", integral=True)
-        # and its last, smallest scale must not underflow to 0 (a huge eta)
+        # the schedule's last, smallest scale must not underflow to 0 (a huge eta)
         if not mu_schedule(self.max_iters, self.eta, self.alpha) > 0.0:
             raise ValueError(f"eta must keep mu_{self.max_iters} > 0, got {self.eta}")
         if self.time_cap_seconds is not None:
