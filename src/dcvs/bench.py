@@ -66,8 +66,8 @@ class SweepConfig:
                 raise ValueError(f"{key} must be a list, got {getattr(self, key)!r}")
         # numbers are normalised, so that CSV text does not depend on whether
         # a config wrote 0 or 0.0, or on how the config was built
-        for key in ("d", "trials", "base_seed"):
-            setattr(self, key, _number(getattr(self, key), key, integral=True))
+        for key, low in (("d", 1), ("trials", 1), ("base_seed", 0)):
+            setattr(self, key, _number(getattr(self, key), key, integral=True, low=low))
         self.n_over_d = [_number(v, "n_over_d", integral=True) for v in self.n_over_d]
         self.p_fail = [_number(v, "p_fail") for v in self.p_fail]
         self.s = [_number(v, "s") for v in self.s]
@@ -75,10 +75,6 @@ class SweepConfig:
         self.losses = list(self.losses)
         if not (self.n_over_d and self.p_fail and self.s and self.losses):
             raise ValueError("all grids and the loss list must be nonempty")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be >= 0")
         # check every cell's instance and dry-build every loss at every n of
         # the grid, so that a bad entry fails here and not mid-sweep
         for nd, p_fail, s_val in self.cells():

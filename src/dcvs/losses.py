@@ -83,9 +83,7 @@ def make_loss(name, n, lam=1.0, beta=None, K=None):
     or anything but a number in place of one, is rejected.  The closures
     call the :mod:`dcvs.prox` functions.
     """
-    n, lam = _number(n, "n", integral=True), _number(lam, "lam")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n, lam = _number(n, "n", integral=True, low=1), _number(lam, "lam")
     beta = None if beta is None else _number(beta, "beta")
     sqrt_n = float(np.sqrt(n))
 
@@ -107,9 +105,11 @@ def make_loss(name, n, lam=1.0, beta=None, K=None):
         g_prox = lambda z, mu: prox_capped_complement(z, beta, mu)
     elif name == "trimmed_l1":
         # an integer type only: K=2.0 is an error, not read as 2
-        if not (isinstance(K, (int, np.integer)) and 0 <= K < n):
-            raise ValueError(f"trimmed_l1 needs an integer 0 <= K < n, got K={K!r}, n={n}")
-        K = _number(K, "K", integral=True)
+        if not isinstance(K, (int, np.integer)):
+            raise ValueError(f"K must be an integer, got {K!r}")
+        K = _number(K, "K", integral=True, low=0)
+        if K >= n:
+            raise ValueError(f"K must be < n = {n}, got {K}")
         params, L_g = {"K": K}, float(np.sqrt(K))
         g_value = lambda z: topk_value(z, K)
         g_prox = lambda z, mu: prox_topk(z, K, mu)
@@ -138,19 +138,27 @@ def _check_keys(what, keys, allowed, required=()):
                          f"{missing} (allowed: {sorted(allowed)})")
 
 
-def _number(value, name, integral=False):
+def _number(value, name, integral=False, low=None):
     """``value``, a Python or numpy int or float, as a float, or as an int
-    when ``integral`` (``5.0`` reads as 5).  Anything else is a
-    ``ValueError`` that names ``name``: a bool (JSON ``true`` is no
-    number), a string, ``None``, and for a count a fraction, inf or NaN.
+    when ``integral`` (``5.0`` reads as 5), no less than ``low`` when it is
+    given.  Anything else is a ``ValueError`` that names ``name``: a bool
+    (JSON ``true`` is no number), a string, ``None``, an int beyond the
+    float range, a value below ``low`` (or NaN, there), and for a count a
+    fraction, inf or NaN.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if not integral:
-        return float(value)
-    if not (isinstance(value, (int, np.integer)) or float(value).is_integer()):
+    try:
+        number = float(value)
+    except OverflowError:  # a Python int: its digits are not worth printing
+        raise ValueError(f"{name} must be within the float range, got a "
+                         f"{value.bit_length()}-bit int") from None
+    if integral and not number.is_integer():
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    number = int(value) if integral else number  # an int compares exactly
+    if low is not None and not number >= low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    return number
 
 
 def spec_params(spec):

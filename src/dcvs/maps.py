@@ -34,23 +34,30 @@ class SmoothMap:
     jt_vec: Callable
 
 
+def _measurements(A, b):
+    """The measurement pair ``(A, b)`` as float arrays, checked once for
+    every consumer: ``A`` a matrix with at least one row, ``b`` a vector
+    with one entry per row."""
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    if A.ndim != 2 or A.shape[0] < 1:
+        raise ValueError(f"A must be a matrix with at least one row, got shape {A.shape}")
+    if b.shape != A.shape[:1]:
+        raise ValueError(f"b must be a vector of length {A.shape[0]}, got shape {b.shape}")
+    return A, b
+
+
 def rpr_map(A, b):
     """The quadratic residual map ``S(x) = (Ax) ⊙ (Ax) - b`` for
     measurements ``(A, b)``: ``eval(x)`` returns ``(S(x), Ax)`` and
     ``jt_vec(Ax, v) = 2 A^T ((Ax) ⊙ v)``.
 
-    ``A`` and ``b`` are converted and checked here, once.  Each call
-    checks only the shapes of its vectors (``x``; ``Ax`` and ``v``):
-    numpy would broadcast an ``x`` of shape ``(d, 1)`` or a ``v`` of
-    length 1 without complaint.
+    ``A`` and ``b`` are converted and checked here, once, by
+    :func:`_measurements`.  Each call checks only the shapes of its
+    vectors (``x``; ``Ax`` and ``v``): numpy would broadcast an ``x`` of
+    shape ``(d, 1)`` or a ``v`` of length 1 without complaint.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if A.ndim != 2:
-        raise ValueError(f"A must be a matrix, got ndim={A.ndim}")
+    A, b = _measurements(A, b)
     n, d = A.shape
-    if b.shape != (n,):
-        raise ValueError(f"b must have shape ({n},), got {b.shape}")
 
     def checked(name, u, size):
         u = np.asarray(u, dtype=float)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import _number
+from .maps import _measurements
 
 __all__ = (
     "Instance",
@@ -37,10 +38,10 @@ class Instance:
 
 
 def _check_instance_args(d, n, p_fail, s, outlier_kind, noise_variance):
-    """Check :func:`generate_instance`'s parameters; return the outlier
-    count ``round(p_fail * n)``."""
-    if not (n >= d >= 1):
-        raise ValueError(f"need n >= d >= 1, got n={n}, d={d}")
+    """Check :func:`generate_instance`'s parameters; return ``d`` and
+    ``n`` as ints and the outlier count ``round(p_fail * n)``."""
+    d = _number(d, "d", integral=True, low=1)
+    n = _number(n, "n", integral=True, low=d)
     if not 0.0 <= p_fail < 1.0:
         raise ValueError(f"p_fail must lie in [0, 1), got {p_fail}")
     if not 0 < s < np.inf:  # false for NaN too
@@ -52,7 +53,7 @@ def _check_instance_args(d, n, p_fail, s, outlier_kind, noise_variance):
     n_out = int(round(p_fail * n))
     if n_out >= n:
         raise ValueError(f"round(p_fail*n) = {n_out} leaves no inliers")
-    return n_out
+    return d, n, n_out
 
 
 def generate_instance(d, n, p_fail, s, outlier_kind="cauchy",
@@ -63,14 +64,12 @@ def generate_instance(d, n, p_fail, s, outlier_kind="cauchy",
     to +-1), noise (n normals), outlier positions (choice without
     replacement), outlier uniforms ``u_i``.  Outlier values are
     ``s*M*tan(0.5*pi*u)`` (cauchy) or ``s*M*u`` (uniform) with ``M`` the
-    largest clean measurement; they replace the affected entries.  ``seed``
-    is an integer >= 0.
+    largest clean measurement; they replace the affected entries.  ``d``,
+    ``n`` and ``seed`` are counts, with ``1 <= d <= n`` and ``seed >= 0``;
+    ``5.0`` reads as 5.
     """
-    n_out = _check_instance_args(d, n, p_fail, s, outlier_kind, noise_variance)
-    seed = _number(seed, "seed", integral=True)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
+    d, n, n_out = _check_instance_args(d, n, p_fail, s, outlier_kind, noise_variance)
+    rng = np.random.default_rng(_number(seed, "seed", integral=True, low=0))
     A = rng.standard_normal((n, d))
     x_star = np.where(rng.random(d) < 0.5, 1.0, -1.0)
     eps = rng.normal(0.0, np.sqrt(noise_variance), n)
@@ -108,14 +107,14 @@ def spectral_init(A, b, seed):
     (no measurement inside ``[0, tau]``, or an identically zero form)
     fall back to a seeded random unit direction with radius
     ``sqrt(max(median(|b|), 1e-12))``.  The power-iteration start vector
-    is drawn from ``default_rng([seed, 1])``.
+    is drawn from ``default_rng([seed, 1])``.  ``seed`` follows
+    :func:`generate_instance`'s rule: an integer >= 0, with ``5.0`` read
+    as 5 and a bool or string rejected.  ``A`` and ``b`` are checked as
+    :func:`dcvs.maps.rpr_map` checks them.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
+    A, b = _measurements(A, b)
     n, d = A.shape
-    if n < 1:
-        raise ValueError("need at least one measurement")
-    rng = np.random.default_rng([seed, 1])
+    rng = np.random.default_rng([_number(seed, "seed", integral=True, low=0), 1])
     v = rng.standard_normal(d)
     v /= np.linalg.norm(v)
 
@@ -178,8 +177,7 @@ def kappa_mu(A, b, lam, L_g, mu):
         raise ValueError("lam must be positive")
     if L_g < 0:
         raise ValueError("L_g must be nonnegative")
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
+    A, b = _measurements(A, b)
     row_sq = np.sum(A * A, axis=1)
     return (
         2.0 * L_g * float(np.sqrt(np.sum(row_sq**2)))

@@ -66,8 +66,9 @@ class SolverConfig:
     def __post_init__(self):
         if not isinstance(self.store_iterates, bool):
             raise ValueError(f"store_iterates must be a bool, got {self.store_iterates!r}")
-        for key in ("alpha", "eta", "rho", "c", "rel_tol"):
+        for key in ("alpha", "eta", "rho", "c"):
             setattr(self, key, _number(getattr(self, key), key))
+        self.rel_tol = _number(self.rel_tol, "rel_tol", low=0.0)
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (0, 1)")
         if not 0.0 < self.c < 1.0:
@@ -77,12 +78,10 @@ class SolverConfig:
         if mu_schedule(1, self.eta, self.alpha) > MU_MAX * (1.0 + 1e-12):
             raise ValueError(f"schedule exceeds the smoothing cap {MU_MAX}: "
                              f"need eta >= {1.0 / (2.0 * MU_MAX)}")
-        if not self.rel_tol >= 0.0:  # false for NaN too
-            raise ValueError("rel_tol must be nonnegative")
         # an integer type only: max_iters=3.0 is an error, not read as 3
-        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        self.max_iters = _number(self.max_iters, "max_iters", integral=True)
+        if not isinstance(self.max_iters, (int, np.integer)):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
+        self.max_iters = _number(self.max_iters, "max_iters", integral=True, low=1)
         # the schedule's last, smallest scale must not underflow to 0 (a huge eta)
         if not mu_schedule(self.max_iters, self.eta, self.alpha) > 0.0:
             raise ValueError(f"eta must keep mu_{self.max_iters} > 0, got {self.eta}")

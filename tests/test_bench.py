@@ -12,6 +12,7 @@ from dcvs.bench import (
     SweepResult,
     emit_outputs,
     run_sweep,
+    seeded_problem,
     sweep_config_from_dict,
 )
 from dcvs.losses import loss_from_spec, loss_label
@@ -157,6 +158,14 @@ def test_config_validation():
                 {"p_fail": [0.2, 0.0, 0.2]}, {"s": [1.0, 1.0000001]}):
         with pytest.raises(ValueError, match="repeated"):
             tiny_config(**bad)
+
+
+def test_seeded_problem_reads_a_float_seed():
+    # 5.0 is seed 5 for the instance and for the spectral start alike
+    (inst, x1, _), (inst5, x15, _) = (
+        seeded_problem(5, 20, 0.1, 1.0, "cauchy", 1e-6, seed) for seed in (5.0, 5))
+    assert np.array_equal(inst.b, inst5.b) and np.array_equal(inst.A, inst5.A)
+    assert np.array_equal(x1, x15)
 
 
 def test_loss_specs_checked_at_every_n():

@@ -34,7 +34,7 @@ def test_make_loss_validation():
                          ("mcp", {"lam": True, "beta": 2.0}), ("capped_l1", {"beta": "1"})]:
         with pytest.raises(ValueError, match="number"):
             make_loss(name, 10, **kwargs)
-    for n in (2.5, True):
+    for n in (2.5, True, 10**400):
         with pytest.raises(ValueError, match="^n must be"):
             make_loss("l1", n)
     with pytest.raises(ValueError):

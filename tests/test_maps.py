@@ -25,6 +25,8 @@ def test_rpr_eval_shape_errors():
         rpr_map(np.ones(2), np.zeros(1))  # A must be a matrix
     with pytest.raises(ValueError):
         rpr_map(np.eye(2), np.zeros(3))
+    with pytest.raises(ValueError, match="^A must be"):
+        rpr_map(np.ones((0, 2)), np.zeros(0))  # no measurement to fit
     m = rpr_map(np.ones((3, 2)), np.zeros(3))
     # numpy alone would broadcast the (d, 1) point and the length-1 vectors
     for bad_x in (np.zeros(3), np.zeros((2, 1))):

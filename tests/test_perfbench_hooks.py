@@ -7,6 +7,7 @@ running the benchmark."""
 import ast
 import dataclasses
 import importlib.util
+import inspect
 from pathlib import Path
 
 from helpers import catalog_losses, small_instance
@@ -69,6 +70,43 @@ def test_perfbench_workload_calls_exist():
             ("bench", "emit_outputs")} <= used
     assert [f"{root}.{attr}" for root, attr in sorted(used)
             if not hasattr(roots[root], attr)] == []
+    # each call, direct or through a local alias such as ``generate, init =
+    # dcvs.generate_instance, dcvs.spectral_init``, must bind its positional
+    # count and keyword names: a renamed keyword breaks only a benchmark run
+    def library(node):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in roots):
+            return getattr(roots[node.value.id], node.attr, None)
+        return None
+
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            names, values = node.targets[0], node.value
+            if isinstance(names, ast.Tuple) and isinstance(values, ast.Tuple):
+                pairs = zip(names.elts, values.elts)
+            else:
+                pairs = [(names, values)]
+            aliases.update((name.id, library(value)) for name, value in pairs
+                           if isinstance(name, ast.Name) and library(value) is not None)
+    bound, unbound = set(), []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = library(node.func)
+        if fn is None and isinstance(node.func, ast.Name):
+            fn = aliases.get(node.func.id)
+        if fn is None:
+            continue
+        try:
+            inspect.signature(fn).bind_partial(*[None] * len(node.args),
+                                               **{k.arg: None for k in node.keywords})
+            bound.add(fn.__name__)
+        except TypeError as err:
+            unbound.append(f"workloads.py:{node.lineno} {fn.__name__}: {err}")
+    assert unbound == []
+    assert {"generate_instance", "spectral_init", "make_loss", "SolverConfig",
+            "solve", "run_sweep"} <= bound
 
 
 def test_loss_fields_carry_every_evaluation():

@@ -76,6 +76,15 @@ def test_generate_instance_validation():
     for seed in (-1, 2.5, "3", True):
         with pytest.raises(ValueError, match="^seed"):
             generate_instance(5, 20, 0.0, 1.0, seed=seed)
+    # the sizes are counts too: a bool is no number, an int beyond the
+    # float range is no size, and 5.0, 20.0 read as 5, 20
+    for d, n, field in ((True, 20, "d"), (2.5, 20, "d"), (5, 10**400, "n")):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            generate_instance(d, n, 0.1, 1.0)
+    as_floats = generate_instance(5.0, 20.0, 0.1, 1.0, seed=3)
+    as_ints = generate_instance(5, 20, 0.1, 1.0, seed=3)
+    for key in ("A", "b", "x_star", "outlier_idx"):
+        assert np.array_equal(getattr(as_floats, key), getattr(as_ints, key))
 
 
 def test_spectral_init_shape_and_determinism():
@@ -85,6 +94,20 @@ def test_spectral_init_shape_and_determinism():
     assert x1.shape == (12,)
     assert np.all(np.isfinite(x1))
     assert np.array_equal(x1, x2)
+
+
+def test_spectral_init_validation():
+    # the seed rule is generate_instance's: an integer >= 0 (True would run
+    # as seed 1), and the pair is rpr_map's: a matrix A and one b_i per row
+    inst = generate_instance(6, 30, 0.1, 1.0, seed=2)
+    for seed in (-1, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="^seed must be"):
+            spectral_init(inst.A, inst.b, seed)
+    with pytest.raises(ValueError, match="^A must be"):
+        spectral_init(inst.A[0], inst.b[:1], 2)
+    with pytest.raises(ValueError, match="^b must be"):
+        spectral_init(inst.A, inst.b[:-1], 2)
+    assert np.array_equal(spectral_init(inst.A, inst.b, 2.0), spectral_init(inst.A, inst.b, 2))
 
 
 def test_spectral_init_quality_outlier_free():
@@ -130,6 +153,11 @@ def test_success_examples():
 def test_kappa_mu_values():
     assert kappa_mu(np.array([[1.0]]), np.array([1.0]), 1.0, 1.0, 0.5) == pytest.approx(16.0)
     assert kappa_mu(np.array([[1.0]]), np.array([0.0]), 1.0, 0.0, 1.0) == pytest.approx(6.0)
+    # the pair is checked as rpr_map checks it, not summed over silently
+    with pytest.raises(ValueError, match="^b must be"):
+        kappa_mu(np.ones((3, 2)), np.ones(2), 1.0, 1.0, 0.5)
+    with pytest.raises(ValueError, match="^A must be"):
+        kappa_mu(np.ones((0, 2)), np.ones(0), 1.0, 1.0, 0.5)
 
 
 def test_kappa_mu_affine_in_inverse_mu():

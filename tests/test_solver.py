@@ -310,6 +310,9 @@ def test_solver_config_validation():
         with pytest.raises(ValueError):
             SolverConfig(**bad)
     assert SolverConfig(max_iters=np.int64(7), time_cap_seconds=None).max_iters == 7
+    # a JSON integer of 309+ digits is no budget a float schedule can reach
+    with pytest.raises(ValueError, match="^max_iters must be"):
+        SolverConfig(max_iters=10**400)
     # a bool is no number (max_iters=True would run one step, a true cap
     # would stop after 1 s), nor is a numeric string or None, and
     # store_iterates takes only a bool
