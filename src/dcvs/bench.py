@@ -12,7 +12,6 @@ losses.
 
 import json
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import product
@@ -126,7 +125,6 @@ def _run_trial(args):
     outcomes = []
     for spec in config.losses:
         loss = loss_from_spec(spec, n)
-        t0 = time.perf_counter()
         try:
             record = solve(loss, smooth_map, x1, config.solver)
             rel, ok = success(record.x_final, inst.x_star)
@@ -136,10 +134,10 @@ def _run_trial(args):
             ))
         except SolverError as err:
             # the solve failed inside step err.iteration, after
-            # err.iteration - 1 completed steps
+            # err.iteration - 1 completed steps and err.seconds on its clock
             outcomes.append(dict(
                 rel_error=float("inf"), success=0, iterations=err.iteration - 1,
-                termination="error", seconds=time.perf_counter() - t0, error=str(err),
+                termination="error", seconds=err.seconds, error=str(err),
             ))
     return outcomes
 
@@ -155,8 +153,10 @@ def run_sweep(config, workers=1):
     unsuccessful trial, and never aborts the sweep.  ``workers`` is the
     process count, an integer >= 1; 1 runs serially in this process.
     """
-    if not (isinstance(workers, (int, np.integer)) and workers >= 1):
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    # an integer type only: workers=2.0 is an error, not read as 2
+    if not isinstance(workers, (int, np.integer)):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
+    workers = _number(workers, "workers", integral=True, low=1)
     d, trials, cells = config.d, config.trials, config.cells()
     items = [(d * nd, p_fail, s_val, config.base_seed + t, config)
              for nd, p_fail, s_val in cells for t in range(trials)]

@@ -175,7 +175,7 @@ def kappa_mu(A, b, lam, L_g, mu):
         raise ValueError("mu must be positive")
     if not lam > 0:
         raise ValueError("lam must be positive")
-    if L_g < 0:
+    if not L_g >= 0:
         raise ValueError("L_g must be nonnegative")
     A, b = _measurements(A, b)
     row_sq = np.sum(A * A, axis=1)

@@ -36,11 +36,11 @@ TRACE_COLUMNS = ("k", "mu", "F_k", "grad_norm", "gamma", "backtracks", "true_cos
 
 
 class SolverError(RuntimeError):
-    """Numerical failure inside a solve; carries the iteration index."""
+    """Numerical failure inside a solve.  :func:`solve` sets
+    ``iteration``, the step the failure happened in, and ``seconds``, the
+    time the solve had run, on its way out."""
 
-    def __init__(self, message, iteration=None):
-        super().__init__(message)
-        self.iteration = iteration
+    iteration = seconds = None
 
 
 @dataclass
@@ -163,14 +163,15 @@ def surrogate_value(loss, smooth_map, x, mu):
     return surrogate_at_residual(loss, z, mu, grad=False)
 
 
-def backtrack(eval_Fk, x, Fk_x, grad, g2, gamma_init, rho, c):
-    """Armijo backtracking along the negative gradient.
+def backtrack(eval_ray, Fk_x, g2, gamma_init, rho, c):
+    """Armijo backtracking along the negative gradient: a search of the
+    ray ``phi(gamma) = F_k(x - gamma*grad)``.
 
-    ``eval_Fk(y)`` returns ``(F_k(y), trial)``, where ``trial`` is what
-    the caller wants back for an accepted point.  Returns the largest
-    ``gamma in {gamma_init * rho^j}`` with
-    ``F_k(x - gamma*grad) <= F_k(x) - c*gamma*g2``, the number of
-    shrinkages and the accepted point's ``trial``.  ``g2`` is
+    ``eval_ray(gamma)`` returns ``(phi(gamma), trial)``, where ``trial``
+    is what the caller wants back for an accepted point; the caller forms
+    the point.  Returns the largest ``gamma in {gamma_init * rho^j}`` with
+    ``phi(gamma) <= Fk_x - c*gamma*g2``, the number of shrinkages and the
+    accepted point's ``trial``.  ``Fk_x`` is ``phi(0)`` and ``g2`` is
     ``grad.dot(grad)``, which the caller has already formed.  The gradient
     must be nonzero (a stationary point admits no line search); a hard cap
     of :data:`MAX_BACKTRACKS` shrinkages turns floating-point pathologies
@@ -182,7 +183,7 @@ def backtrack(eval_Fk, x, Fk_x, grad, g2, gamma_init, rho, c):
         raise ValueError("gamma_init must be positive")
     gamma, count = float(gamma_init), 0
     while True:
-        value, trial = eval_Fk(x - gamma * grad)
+        value, trial = eval_ray(gamma)
         if not value > Fk_x - c * gamma * g2:
             return gamma, count, trial
         gamma *= rho
@@ -219,73 +220,76 @@ def solve(loss, smooth_map, x1, config=None):
     t0 = time.perf_counter()
     mus, f_vals, grad_norms, costs = [], [], [], []
     gammas, gamma_inits, backtracks = [], [], []
-    iterates = [x.copy()] if cfg.store_iterates else None
+    # x is never written in place: each accepted point is a fresh array
+    iterates = [x] if cfg.store_iterates else None
     termination = None
+
+    def eval_ray(gamma):
+        # the one place a trial point is formed; x, grad and mu are the
+        # current step's when backtrack calls this
+        y = x - gamma * grad
+        z_y, Ax_y = smooth_map.eval(y)
+        return surrogate_at_residual(loss, z_y, mu, grad=False), (y, z_y, Ax_y)
 
     # one residual serves the surrogate, the gradient and the true cost
     z, Ax = smooth_map.eval(x)
     k = 0
-    while True:
-        k += 1
-        mu = mu_schedule(k, cfg.eta, cfg.alpha)
-        Fk, zgrad = surrogate_at_residual(loss, z, mu)
-        grad = smooth_map.jt_vec(Ax, zgrad)
-        # np.linalg.norm(grad) is sqrt(grad.dot(grad)).  A finite sum of
-        # squares proves every entry finite; only when it is not (an entry
-        # is not, or the sum overflowed) are the entries scanned.
-        g2 = float(grad.dot(grad))
-        if not (math.isfinite(Fk) and math.isfinite(g2)):
-            if not (math.isfinite(Fk) and np.all(np.isfinite(grad))):
-                raise SolverError(f"non-finite surrogate at iteration {k}", iteration=k)
-        gn = math.sqrt(g2)
-        cost = float(loss.phi_value(z))
+    try:
+        while True:
+            k += 1
+            mu = mu_schedule(k, cfg.eta, cfg.alpha)
+            Fk, zgrad = surrogate_at_residual(loss, z, mu)
+            grad = smooth_map.jt_vec(Ax, zgrad)
+            # np.linalg.norm(grad) is sqrt(grad.dot(grad)).  A finite sum of
+            # squares proves every entry finite; only when it is not (an entry
+            # is not, or the sum overflowed) are the entries scanned.
+            g2 = float(grad.dot(grad))
+            if not (math.isfinite(Fk) and math.isfinite(g2)):
+                if not (math.isfinite(Fk) and np.all(np.isfinite(grad))):
+                    raise SolverError(f"non-finite surrogate at iteration {k}")
+            gn = math.sqrt(g2)
+            cost = float(loss.phi_value(z))
 
-        mus.append(mu)
-        f_vals.append(Fk)
-        grad_norms.append(gn)
-        costs.append(cost)
+            mus.append(mu)
+            f_vals.append(Fk)
+            grad_norms.append(gn)
+            costs.append(cost)
 
-        if len(costs) > 1:
-            prev_cost = costs[-2]
-            change = abs(cost - prev_cost)
-            # exact-fit instances drive the denominator to zero; fall back
-            # to the absolute change there
-            rel = change if abs(prev_cost) < 1e-300 else change / abs(prev_cost)
-            if rel < cfg.rel_tol:
-                termination = "rel_tol"
+            if len(costs) > 1:
+                prev_cost = costs[-2]
+                change = abs(cost - prev_cost)
+                # exact-fit instances drive the denominator to zero; fall back
+                # to the absolute change there
+                rel = change if abs(prev_cost) < 1e-300 else change / abs(prev_cost)
+                if rel < cfg.rel_tol:
+                    termination = "rel_tol"
+                    break
+
+            if gn == 0.0:
+                termination = "stationary"
                 break
 
-        if gn == 0.0:
-            termination = "stationary"
-            break
+            ginit = gammas[-1] if gammas else max(1.0, 1.0 / gn)
+            gamma, nbt, (x, z, Ax) = backtrack(eval_ray, Fk, g2, ginit, cfg.rho, cfg.c)
+            gammas.append(gamma)
+            gamma_inits.append(ginit)
+            backtracks.append(nbt)
+            if iterates is not None:
+                iterates.append(x)
 
-        ginit = gammas[-1] if gammas else max(1.0, 1.0 / gn)
-
-        def eval_Fk(y, _mu=mu):
-            z_y, Ax_y = smooth_map.eval(y)
-            return surrogate_at_residual(loss, z_y, _mu, grad=False), (y, z_y, Ax_y)
-
-        try:
-            gamma, nbt, (x, z, Ax) = backtrack(eval_Fk, x, Fk, grad, g2, ginit,
-                                               cfg.rho, cfg.c)
-        except SolverError as err:
-            err.iteration = k
-            raise
-        gammas.append(gamma)
-        gamma_inits.append(ginit)
-        backtracks.append(nbt)
-        if iterates is not None:
-            iterates.append(x.copy())
-
-        if k >= cfg.max_iters:
-            termination = "max_iters"
-            break
-        if (
-            cfg.time_cap_seconds is not None
-            and time.perf_counter() - t0 > cfg.time_cap_seconds
-        ):
-            termination = "time_cap"
-            break
+            if k >= cfg.max_iters:
+                termination = "max_iters"
+                break
+            if (
+                cfg.time_cap_seconds is not None
+                and time.perf_counter() - t0 > cfg.time_cap_seconds
+            ):
+                termination = "time_cap"
+                break
+    except SolverError as err:
+        # the one place a failed solve is stamped: its step and its time
+        err.iteration, err.seconds = k, time.perf_counter() - t0
+        raise
 
     return RunRecord(
         x_final=x,
@@ -307,13 +311,17 @@ def write_csv(path, header, rows):
     the standard :mod:`csv` writer: UTF-8, '\\n' line ends, every value as
     its ``str`` (a float's shortest round-trip form, numpy scalars
     included).  A cell holding a comma, a ``"`` or a '\\n' is quoted, with
-    its ``"`` doubled (RFC 4180); every other cell is written bare.  (A
-    lone '\\r' would be written bare too; no cell of this package holds
-    one.)"""
+    its ``"`` doubled (RFC 4180); every other cell is written bare.  A
+    ``str`` cell holding a '\\r' is a ``ValueError``, raised before the
+    file is opened: the writer would leave it bare, and a reader would
+    split its row there."""
     import csv  # loaded on first write: a solve that writes no CSV does not pay for it
 
+    table = [header, *rows]
+    if any(isinstance(cell, str) and "\r" in cell for row in table for cell in row):
+        raise ValueError("a CSV cell must not hold a '\\r'")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        csv.writer(fh, lineterminator="\n").writerows(table)
 
 
 def write_trace(record, path):

@@ -243,8 +243,8 @@ def test_sweep_deterministic_across_workers(tmp_path):
 
 
 def test_run_sweep_rejects_negative_workers():
-    # serial has one spelling, workers=1; 0 and None are errors, not serial
-    for bad in (-1, 0, None, 1.0, "2"):
+    # serial has one spelling, workers=1; 0, None and True are errors, not serial
+    for bad in (-1, 0, None, 1.0, "2", True):
         with pytest.raises(ValueError):
             run_sweep(tiny_config(), workers=bad)
     assert len(run_sweep(tiny_config(trials=1), workers=np.int64(1)).trial_rows) == 2

@@ -158,6 +158,9 @@ def test_kappa_mu_values():
         kappa_mu(np.ones((3, 2)), np.ones(2), 1.0, 1.0, 0.5)
     with pytest.raises(ValueError, match="^A must be"):
         kappa_mu(np.ones((0, 2)), np.ones(0), 1.0, 1.0, 0.5)
+    # a NaN L_g is no bound, as a NaN lam or mu is not
+    with pytest.raises(ValueError, match="L_g"):
+        kappa_mu(np.array([[1.0]]), np.array([1.0]), 1.0, float("nan"), 0.5)
 
 
 def test_kappa_mu_affine_in_inverse_mu():

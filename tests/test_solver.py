@@ -64,16 +64,13 @@ def test_surrogate_oracle_trimmed_k0_matches_l1():
 
 def test_backtrack_immediate_accept():
     # evaluator already satisfying the Armijo test at gamma_init
-    gamma, count, _ = backtrack(
-        lambda z: (0.0, z), np.array([1.0]), 1.0, np.array([1.0]), 1.0, 0.5, 0.8, 1e-4
-    )
+    gamma, count, _ = backtrack(lambda g: (0.0, g), 1.0, 1.0, 0.5, 0.8, 1e-4)
     assert (gamma, count) == (0.5, 0)
 
 
 def test_backtrack_frozen_quadratic_example():
     gamma, count, _ = backtrack(
-        lambda z: (float(z[0] ** 2), z), np.array([1.0]), 1.0, np.array([2.0]),
-        4.0, 1.0, 0.8, 1e-4,
+        lambda g: (float((1.0 - g * 2.0) ** 2), g), 1.0, 4.0, 1.0, 0.8, 1e-4,
     )
     assert gamma == pytest.approx(0.8)
     assert count == 1
@@ -84,23 +81,38 @@ def test_backtrack_returns_the_accepted_trial():
     # is the one evaluated at the returned gamma, not an earlier one
     x, grad = np.array([1.0, -0.5]), np.array([2.0, -1.0])
     f = lambda y: float(y @ y)
-    gamma, count, trial = backtrack(lambda y: (f(y), y), x, f(x), grad,
+    gamma, count, trial = backtrack(lambda g: (f(x - g * grad), x - g * grad), f(x),
                                     float(grad @ grad), 1.0, 0.8, 1e-4)
     assert count >= 1
     assert np.array_equal(trial, x - gamma * grad)
 
 
+def test_backtrack_tries_geometric_stepsizes():
+    # the ray is searched at gamma_init, gamma_init*rho, ... (repeated *=),
+    # and the stepsize returned is the last one tried
+    tried = []
+
+    def eval_ray(gamma):
+        tried.append(gamma)
+        return (1.0 if len(tried) < 4 else 0.0), len(tried)
+
+    gamma, count, trial = backtrack(eval_ray, 1.0, 1.0, 0.7, 0.3, 1e-4)
+    expected = [0.7]
+    for _ in range(3):
+        expected.append(expected[-1] * 0.3)
+    assert tried == expected
+    assert (gamma, count, trial) == (tried[-1], 3, 4)
+
+
 def test_backtrack_zero_gradient_rejected():
     with pytest.raises(ValueError):
-        backtrack(lambda z: (0.0, z), np.array([1.0]), 1.0, np.array([0.0]), 0.0,
-                  1.0, 0.8, 1e-4)
+        backtrack(lambda g: (0.0, g), 1.0, 0.0, 1.0, 0.8, 1e-4)
 
 
 def test_backtrack_cap_is_loud(monkeypatch):
     monkeypatch.setattr(dcvs.solver, "MAX_BACKTRACKS", 20)
     with pytest.raises(SolverError):
-        backtrack(lambda z: (np.inf, z), np.array([1.0]), 1.0, np.array([1.0]),
-                  1.0, 1.0, 0.8, 1e-4)
+        backtrack(lambda g: (np.inf, g), 1.0, 1.0, 1.0, 0.8, 1e-4)
 
 
 def test_backtrack_below_descent_threshold_accepts_first():
@@ -109,8 +121,7 @@ def test_backtrack_below_descent_threshold_accepts_first():
     c = 1e-6
     for gamma_init in (0.2, 0.5, 0.9):
         gamma, count, _ = backtrack(
-            lambda z: (float(z @ z), z), np.array([1.0]), 1.0, np.array([2.0]),
-            4.0, gamma_init, 0.8, c,
+            lambda g: (float((1.0 - g * 2.0) ** 2), g), 1.0, 4.0, gamma_init, 0.8, c,
         )
         assert gamma == gamma_init and count == 0
 
@@ -268,6 +279,7 @@ def test_solve_rejects_non_finite_surrogate():
                 np.errstate(invalid="ignore"):
             solve(loss, broken, x1, SolverConfig(time_cap_seconds=None))
         assert err.value.iteration == 1
+        assert isinstance(err.value.seconds, float) and err.value.seconds > 0
 
 
 def test_solve_accepts_finite_gradient_whose_square_sum_overflows():
@@ -281,6 +293,7 @@ def test_solve_accepts_finite_gradient_whose_square_sum_overflows():
         solve(make_loss("l1", 25), huge, spectral_init(inst.A, inst.b, 10),
               SolverConfig(time_cap_seconds=None))
     assert err.value.iteration == 2
+    assert isinstance(err.value.seconds, float) and err.value.seconds > 0
 
 
 def test_solver_config_validation():
@@ -352,6 +365,15 @@ def test_write_csv_round_trips_any_cell(tmp_path):
     write_csv(path, [f"c{i}" for i in range(len(row))], [row])
     with open(path, encoding="utf-8", newline="") as fh:
         assert list(csv.reader(fh))[1] == [str(v) for v in row]
+
+
+def test_write_csv_rejects_a_carriage_return(tmp_path):
+    # the writer would leave 'x\ry' bare and a reader would split its row
+    # there, so the call fails before the file is opened
+    path = tmp_path / "cells.csv"
+    with pytest.raises(ValueError, match="must not hold"):
+        write_csv(path, ["a", "b"], [[1, "x\ry"]])
+    assert not path.exists()
 
 
 def test_mirrored_trajectory_from_negated_start():
