@@ -25,7 +25,7 @@ def _cmd_solve(args):
     rel, ok = success(record.x_final, inst.x_star)
     print(f"loss={loss_label(spec)} iterations={record.iterations} "
           f"termination={record.termination} wall={record.wall_seconds:.3f}s")
-    print(f"final cost={record.final_cost:.6g} rel_error={rel:.3e} success={ok}")
+    print(f"final cost={record.cost_values[-1]:.6g} rel_error={rel:.3e} success={ok}")
     if args.trace:
         write_trace(record, args.trace)
         print(f"trace written to {args.trace}")

@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from .maps import _vector
 from .prox import (
     _moreau_step,
     huber_value,
@@ -70,7 +71,8 @@ class DcLoss:
     L_g: float = 0.0
 
     def phi_value(self, z):
-        """The actual loss value f(z) - g(z)."""
+        """The actual loss value f(z) - g(z) at a residual of shape ``(n,)``."""
+        z = _vector("z", z, self.n)
         return self.f_value(z) - self.g_value(z)
 
 
@@ -201,11 +203,12 @@ def surrogate_at_residual(loss, z, mu, grad=True):
     Returns ``(f_env - g_env, grad_f_env - grad_g_env)`` where each
     envelope term comes from the corresponding prox at scale ``mu``; with
     ``grad=False``, only the value ``f_env - g_env``, for line-search
-    trials.  ``mu`` must lie in ``(0, MU_MAX]``.
+    trials.  ``mu`` must lie in ``(0, MU_MAX]`` and ``z`` must have shape
+    ``(loss.n,)``.
     """
     if not 0.0 < mu <= MU_MAX * (1.0 + 1e-12):
         raise ValueError(f"mu must lie in (0, {MU_MAX}], got {mu}")
-    z = np.asarray(z, dtype=float)
+    z = _vector("z", z, loss.n)
     pf = loss.f_prox(z, mu)
     f_env, f_step = _moreau_step(pf, z, loss.f_value(pf), mu)
     pg = loss.g_prox(z, mu)

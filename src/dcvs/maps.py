@@ -46,6 +46,16 @@ def _measurements(A, b):
     return A, b
 
 
+def _vector(name, u, size):
+    """``u`` as a float vector of length ``size``, or a ``ValueError`` that
+    names it: numpy would broadcast a ``(size, 1)`` array or sum a vector
+    of another length without complaint."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (size,):
+        raise ValueError(f"{name} must have shape ({size},), got {u.shape}")
+    return u
+
+
 def rpr_map(A, b):
     """The quadratic residual map ``S(x) = (Ax) ⊙ (Ax) - b`` for
     measurements ``(A, b)``: ``eval(x)`` returns ``(S(x), Ax)`` and
@@ -53,23 +63,16 @@ def rpr_map(A, b):
 
     ``A`` and ``b`` are converted and checked here, once, by
     :func:`_measurements`.  Each call checks only the shapes of its
-    vectors (``x``; ``Ax`` and ``v``): numpy would broadcast an ``x`` of
-    shape ``(d, 1)`` or a ``v`` of length 1 without complaint.
+    vectors (``x``; ``Ax`` and ``v``) with :func:`_vector`.
     """
     A, b = _measurements(A, b)
     n, d = A.shape
 
-    def checked(name, u, size):
-        u = np.asarray(u, dtype=float)
-        if u.shape != (size,):
-            raise ValueError(f"{name} must have shape ({size},), got {u.shape}")
-        return u
-
     def eval_(x):
-        Ax = A @ checked("x", x, d)
+        Ax = A @ _vector("x", x, d)
         return Ax * Ax - b, Ax
 
     def jt_vec(Ax, v):
-        return 2.0 * (A.T @ (checked("Ax", Ax, n) * checked("v", v, n)))
+        return 2.0 * (A.T @ (_vector("Ax", Ax, n) * _vector("v", v, n)))
 
     return SmoothMap(in_dim=d, out_dim=n, eval=eval_, jt_vec=jt_vec)

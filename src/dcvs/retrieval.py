@@ -147,6 +147,8 @@ def success(x, x_star, threshold=1e-3):
     beats ``threshold``."""
     x = np.asarray(x, dtype=float)
     x_star = np.asarray(x_star, dtype=float)
+    if x.shape != x_star.shape:
+        raise ValueError(f"x must have the shape of x_star {x_star.shape}, got {x.shape}")
     norm_star = np.linalg.norm(x_star)
     if norm_star == 0.0:
         raise ValueError("x_star must be nonzero")

@@ -22,7 +22,6 @@ __all__ = (
     "SolverError",
     "mu_schedule",
     "surrogate_oracle",
-    "surrogate_value",
     "backtrack",
     "solve",
     "write_csv",
@@ -61,11 +60,8 @@ class SolverConfig:
     rel_tol: float = 1e-7
     max_iters: int = 10000
     time_cap_seconds: Optional[float] = 30.0
-    store_iterates: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.store_iterates, bool):
-            raise ValueError(f"store_iterates must be a bool, got {self.store_iterates!r}")
         for key in ("alpha", "eta", "rho", "c"):
             setattr(self, key, _number(getattr(self, key), key))
         self.rel_tol = _number(self.rel_tol, "rel_tol", low=0.0)
@@ -106,6 +102,11 @@ class RunRecord:
     cost fell below ``rel_tol``, ``stationary`` when the surrogate
     gradient was exactly zero, and ``max_iters`` or ``time_cap`` when a
     budget ran out.
+
+    The record determines the iterates: from ``x1``, step ``k`` is
+    ``x - gammas[k] * grad F_k(x)`` with ``F_k`` at ``mus[k]``, so no copy
+    of them is kept.  ``tests/helpers.replay_iterates`` rebuilds them bit
+    for bit.
     """
 
     x_final: np.ndarray
@@ -118,16 +119,11 @@ class RunRecord:
     backtrack_counts: np.ndarray
     termination: str  # rel_tol | stationary | max_iters | time_cap
     wall_seconds: float
-    iterates: Optional[np.ndarray] = None
 
     @property
     def iterations(self):
         """Number of gradient steps performed."""
         return int(self.gammas.size)
-
-    @property
-    def final_cost(self):
-        return float(self.cost_values[-1])
 
 
 def mu_schedule(k, eta, alpha):
@@ -154,13 +150,6 @@ def surrogate_oracle(loss, smooth_map, x, mu):
     z, Ax = smooth_map.eval(np.asarray(x, dtype=float))
     value, zgrad = surrogate_at_residual(loss, z, mu)
     return value, smooth_map.jt_vec(Ax, zgrad)
-
-
-def surrogate_value(loss, smooth_map, x, mu):
-    """Value of the smoothed composite only (no gradient), evaluated
-    from scratch at ``x``."""
-    z, _ = smooth_map.eval(np.asarray(x, dtype=float))
-    return surrogate_at_residual(loss, z, mu, grad=False)
 
 
 def backtrack(eval_ray, Fk_x, g2, gamma_init, rho, c):
@@ -220,8 +209,6 @@ def solve(loss, smooth_map, x1, config=None):
     t0 = time.perf_counter()
     mus, f_vals, grad_norms, costs = [], [], [], []
     gammas, gamma_inits, backtracks = [], [], []
-    # x is never written in place: each accepted point is a fresh array
-    iterates = [x] if cfg.store_iterates else None
     termination = None
 
     def eval_ray(gamma):
@@ -274,8 +261,6 @@ def solve(loss, smooth_map, x1, config=None):
             gammas.append(gamma)
             gamma_inits.append(ginit)
             backtracks.append(nbt)
-            if iterates is not None:
-                iterates.append(x)
 
             if k >= cfg.max_iters:
                 termination = "max_iters"
@@ -302,7 +287,6 @@ def solve(loss, smooth_map, x1, config=None):
         backtrack_counts=np.asarray(backtracks, dtype=int),
         termination=termination,
         wall_seconds=time.perf_counter() - t0,
-        iterates=np.asarray(iterates) if iterates is not None else None,
     )
 
 

@@ -1,10 +1,10 @@
 """Shared fixtures-in-code for the test suite: loss catalogs, random
-instances, and breakpoint-distance predicates for finite-difference
-checks."""
+instances, the iterates of a recorded solve, and breakpoint-distance
+predicates for finite-difference checks."""
 
 import numpy as np
 
-from dcvs import generate_instance, make_loss, rpr_map
+from dcvs import generate_instance, make_loss, rpr_map, surrogate_oracle
 from dcvs.prox import (
     _clip_threshold,
     moreau_value_and_grad,
@@ -47,6 +47,23 @@ BAD_LOSS_SPECS = [
 def small_instance(seed, d=20, n=100, p_fail=0.25, s=1.0):
     inst = generate_instance(d, n, p_fail, s, seed=seed)
     return inst, rpr_map(inst.A, inst.b)
+
+
+def replay_iterates(loss, smooth_map, x1, record):
+    """The iterates of the solve from ``x1`` that wrote ``record``, as an
+    array of shape ``(record.iterations + 1, d)``: ``x1``, then
+    ``x - gamma_k * grad F_k(x)`` for each recorded step, the gradient
+    from :func:`dcvs.surrogate_oracle` at ``mus[k]`` and the step formed
+    by the same expression as ``solve``'s line search.  Asserts that the
+    last point is ``record.x_final`` bit for bit, so a replay that left
+    the solver's path fails here."""
+    x = np.asarray(x1, dtype=float)
+    points = [x]
+    for mu, gamma in zip(record.mus, record.gammas):
+        x = x - gamma * surrogate_oracle(loss, smooth_map, x, mu)[1]
+        points.append(x)
+    assert x.tobytes() == record.x_final.tobytes(), "the replay left the solver's path"
+    return np.asarray(points)
 
 
 def breakpoint_gap(loss, z, mu):

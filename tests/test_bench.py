@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +81,9 @@ def test_sweep_config_keys():
         sweep_config_from_dict(minimal_raw(solver={"gamma_init_rule": "constant"}))
     with pytest.raises(ValueError):
         sweep_config_from_dict(minimal_raw(trails=3))
+    # store_iterates is no SolverConfig field: a record determines its iterates
+    with pytest.raises(ValueError, match=r"unknown keys \[.store_iterates.\]"):
+        sweep_config_from_dict(minimal_raw(solver={"store_iterates": True}))
     # the solver block is an object of SolverConfig fields
     for bad in (None, 5, [["rho", 0.5]]):
         with pytest.raises(ValueError, match="^solver must be"):
@@ -101,6 +106,21 @@ def test_sweep_config_keys():
     ))
     assert cfg.solver.rho == 0.5
     assert cfg.solver.time_cap_seconds is None
+
+
+def test_readme_lists_every_config_field():
+    # README's sweep-config field table and its list of solver-block keys
+    # name exactly the dataclass fields, so a field added or removed in the
+    # code shows up here until README follows
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Sweep configs", 1)[1]
+    table = section.split("```", 2)[1]
+    listed = sorted(line.split()[0] for line in table.splitlines() if line.strip())
+    assert listed == sorted(f.name for f in fields(SweepConfig))
+    solver = re.search(r"The `solver` block takes `SolverConfig` field names \(([^)]*)\)",
+                       section)
+    listed = sorted(re.findall(r"`(\w+)`", solver.group(1)))
+    assert listed == sorted(f.name for f in fields(SolverConfig))
 
 
 def test_config_validation():

@@ -168,6 +168,22 @@ def test_surrogate_mu_range():
         surrogate_at_residual(loss, np.zeros(3), 1.5)
 
 
+def test_loss_rejects_a_residual_of_another_length():
+    # a loss is built for n residuals: a shorter vector would be summed and
+    # a (2, 5) or (n, 1) array broadcast or summed without complaint
+    n = 10
+    for loss in catalog_losses(n):
+        for z in (np.ones(5), np.ones((2, 5)), np.ones((n, 1)), np.ones(n + 1)):
+            with pytest.raises(ValueError, match=r"^z must have shape \(10,\)"):
+                surrogate_at_residual(loss, z, 0.5)
+            with pytest.raises(ValueError, match=r"^z must have shape \(10,\)"):
+                surrogate_at_residual(loss, z, 0.5, grad=False)
+            with pytest.raises(ValueError, match=r"^z must have shape \(10,\)"):
+                loss.phi_value(z)
+        # a residual of the right length, given as a list, still reads
+        assert loss.phi_value([0.0] * n) == 0.0
+
+
 def test_surrogate_sandwich_bounds():
     # phi - mu*L_f^2 <= surrogate <= phi + mu*L_g^2, so the gap vanishes
     # as mu -> 0 at rate mu * max(L_f^2, L_g^2)

@@ -148,6 +148,11 @@ def test_success_examples():
     assert rel_pos == pytest.approx(rel_neg)
     with pytest.raises(ValueError):
         success(x_star, np.zeros(3))
+    # a column estimate would broadcast against x_star to a 3x3 difference
+    with pytest.raises(ValueError, match=r"^x must have the shape of x_star \(3,\)"):
+        success(np.array([[1.0], [2.0], [3.0]]), np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="^x must"):
+        success(np.ones(2), x_star)
 
 
 def test_kappa_mu_values():

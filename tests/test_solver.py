@@ -3,7 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from helpers import catalog_losses, small_instance
+from helpers import catalog_losses, replay_iterates, small_instance
 
 from dcvs import (
     SolverConfig,
@@ -14,10 +14,11 @@ from dcvs import (
     rpr_map,
     solve,
     spectral_init,
+    surrogate_at_residual,
     surrogate_oracle,
 )
 import dcvs.solver
-from dcvs.solver import SolverError, surrogate_value, write_csv, write_trace
+from dcvs.solver import SolverError, write_csv, write_trace
 
 
 def test_mu_schedule_values():
@@ -129,11 +130,16 @@ def test_backtrack_below_descent_threshold_accepts_first():
 def test_solve_exact_start_terminates_immediately():
     inst = generate_instance(6, 24, 0.0, 1.0, noise_variance=0.0, seed=2)
     m = rpr_map(inst.A, inst.b)
-    rec = solve(make_loss("l1", 24), m, inst.x_star, SolverConfig())
+    loss = make_loss("l1", 24)
+    rec = solve(loss, m, inst.x_star, SolverConfig())
     assert rec.termination == "stationary"
     assert rec.iterations == 0
     assert np.allclose(rec.x_final, inst.x_star)
     assert rec.grad_norms[0] == 0.0
+    # a run with no step has one iterate, the start
+    xs = replay_iterates(loss, m, inst.x_star, rec)
+    assert xs.shape == (1, 6)
+    assert np.array_equal(xs[0], inst.x_star)
 
 
 def test_solve_1d_reaches_minimizer_set():
@@ -147,11 +153,10 @@ def test_solve_1d_reaches_minimizer_set():
 def test_solve_records_are_consistent():
     inst, m = small_instance(seed=3, d=15, n=75)
     loss = make_loss("capped_l1", 75, beta=20.0)
-    cfg = SolverConfig(max_iters=300, time_cap_seconds=None, store_iterates=True)
+    cfg = SolverConfig(max_iters=300, time_cap_seconds=None)
     rec = solve(loss, m, spectral_init(inst.A, inst.b, 3), cfg)
     steps = rec.iterations
     assert rec.mus.size in (steps, steps + 1)
-    assert rec.iterates.shape == (steps + 1, 15)
     assert np.all(rec.backtrack_counts >= 0)
     assert np.allclose(
         rec.gammas, rec.gamma_inits * cfg.rho**rec.backtrack_counts
@@ -168,11 +173,13 @@ def test_solve_records_are_consistent():
 def test_solve_armijo_holds_post_hoc():
     inst, m = small_instance(seed=4, d=12, n=60)
     loss = make_loss("trimmed_l1", 60, K=15)
-    cfg = SolverConfig(max_iters=200, time_cap_seconds=None, store_iterates=True)
-    rec = solve(loss, m, spectral_init(inst.A, inst.b, 4), cfg)
+    cfg = SolverConfig(max_iters=200, time_cap_seconds=None)
+    x1 = spectral_init(inst.A, inst.b, 4)
+    rec = solve(loss, m, x1, cfg)
+    xs = replay_iterates(loss, m, x1, rec)
     c = cfg.c
     for i in range(rec.iterations):
-        lhs = surrogate_value(loss, m, rec.iterates[i + 1], rec.mus[i])
+        lhs = surrogate_at_residual(loss, m.eval(xs[i + 1])[0], rec.mus[i], grad=False)
         rhs = (
             rec.surrogate_values[i]
             - c * rec.gammas[i] * rec.grad_norms[i] ** 2
@@ -183,16 +190,18 @@ def test_solve_armijo_holds_post_hoc():
 def test_solve_reused_residuals_are_exact():
     # solve evaluates the map once at x1 and then carries the accepted
     # line-search trial over; every recorded value must equal, bit for bit,
-    # a from-scratch evaluation at the recorded iterate
+    # a from-scratch evaluation at the replayed iterate
     inst, m = small_instance(seed=12, d=10, n=50)
-    cfg = SolverConfig(max_iters=60, time_cap_seconds=None, store_iterates=True)
+    cfg = SolverConfig(max_iters=60, time_cap_seconds=None)
+    x1 = spectral_init(inst.A, inst.b, 12)
     for loss in catalog_losses(50):
-        rec = solve(loss, m, spectral_init(inst.A, inst.b, 12), cfg)
+        rec = solve(loss, m, x1, cfg)
         assert rec.iterations > 0
+        xs = replay_iterates(loss, m, x1, rec)
         for i in range(rec.mus.size):
-            x = rec.iterates[i]
-            assert rec.surrogate_values[i] == surrogate_value(loss, m, x, rec.mus[i])
-            assert rec.cost_values[i] == loss.phi_value(m.eval(x)[0])
+            z, mu = m.eval(xs[i])[0], rec.mus[i]
+            assert rec.surrogate_values[i] == surrogate_at_residual(loss, z, mu, grad=False)
+            assert rec.cost_values[i] == loss.phi_value(z)
 
 
 def test_solve_map_call_counts():
@@ -327,17 +336,13 @@ def test_solver_config_validation():
     with pytest.raises(ValueError, match="^max_iters must be"):
         SolverConfig(max_iters=10**400)
     # a bool is no number (max_iters=True would run one step, a true cap
-    # would stop after 1 s), nor is a numeric string or None, and
-    # store_iterates takes only a bool
+    # would stop after 1 s), nor is a numeric string or None
     for bad in ({"max_iters": True}, {"time_cap_seconds": True}, {"alpha": True},
                 {"eta": True}, {"rel_tol": True}, {"rel_tol": np.False_},
                 {"rho": "0.5"}, {"time_cap_seconds": "30"}, {"alpha": "3"},
                 {"c": "1e-4"}, {"rel_tol": None}, {"alpha": None}, {"eta": None}):
         with pytest.raises(ValueError, match=rf"^{next(iter(bad))} must be a number"):
             SolverConfig(**bad)
-    for bad in ("no", 1, None):
-        with pytest.raises(ValueError, match="store_iterates"):
-            SolverConfig(store_iterates=bad)
 
 
 def test_write_trace_round_trip(tmp_path):
@@ -380,9 +385,10 @@ def test_mirrored_trajectory_from_negated_start():
     inst, m = small_instance(seed=11, d=10, n=50)
     loss = make_loss("trimmed_l1", 50, K=12)
     x1 = spectral_init(inst.A, inst.b, 11)
-    cfg = SolverConfig(max_iters=100, time_cap_seconds=None, store_iterates=True)
+    cfg = SolverConfig(max_iters=100, time_cap_seconds=None)
     rec_pos = solve(loss, m, x1, cfg)
     rec_neg = solve(loss, m, -x1, cfg)
     assert rec_pos.termination == rec_neg.termination
-    assert np.array_equal(rec_pos.iterates, -rec_neg.iterates)
+    assert np.array_equal(replay_iterates(loss, m, x1, rec_pos),
+                          -replay_iterates(loss, m, -x1, rec_neg))
     assert np.array_equal(rec_pos.gammas, rec_neg.gammas)
