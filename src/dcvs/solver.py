@@ -103,10 +103,10 @@ class RunRecord:
     gradient was exactly zero, and ``max_iters`` or ``time_cap`` when a
     budget ran out.
 
-    The record determines the iterates: from ``x1``, step ``k`` is
-    ``x - gammas[k] * grad F_k(x)`` with ``F_k`` at ``mus[k]``, so no copy
-    of them is kept.  ``tests/helpers.replay_iterates`` rebuilds them bit
-    for bit.
+    The record determines the iterates: from ``x1``, step ``k`` moves
+    ``x`` to ``x - gammas[k] * grad F_k(x)`` with ``F_k`` at ``mus[k]``, so
+    no copy of them is kept.  ``tests/helpers.replay_iterates`` rebuilds
+    them bit for bit.
     """
 
     x_final: np.ndarray

@@ -119,6 +119,7 @@ def test_readme_lists_every_config_field():
     assert listed == sorted(f.name for f in fields(SweepConfig))
     solver = re.search(r"The `solver` block takes `SolverConfig` field names \(([^)]*)\)",
                        section)
+    assert solver is not None, "README lost its list of solver-block keys"
     listed = sorted(re.findall(r"`(\w+)`", solver.group(1)))
     assert listed == sorted(f.name for f in fields(SolverConfig))
 
