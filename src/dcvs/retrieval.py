@@ -122,24 +122,19 @@ def spectral_init(A, b, seed):
     tau = SPECTRAL_CAP_MULTIPLE * med
     keep = b >= 0.0
     inside = keep & (b <= tau)
-    weights = np.minimum(b[keep], tau)
-    degenerate = not inside.any() or not np.any(weights)
-    if not degenerate:
+    if inside.any():
+        # all-zero weights give Y == 0, and so the fallback
         Ak = A[keep]
-        Y = Ak.T @ (weights[:, None] * Ak) / n
-        degenerate = not np.any(Y)
-    if degenerate:
-        r = float(np.sqrt(max(med, 1e-12)))
-        return r * v
-
-    for _ in range(SPECTRAL_POWER_ITERS):
-        w = Y @ v
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            break
-        v = w / norm_w
-    r = float(np.sqrt(np.median(b[inside])))
-    return r * v
+        Y = Ak.T @ (np.minimum(b[keep], tau)[:, None] * Ak) / n
+        if np.any(Y):
+            for _ in range(SPECTRAL_POWER_ITERS):
+                w = Y @ v
+                norm_w = np.linalg.norm(w)
+                if norm_w == 0.0:
+                    break
+                v = w / norm_w
+            return float(np.sqrt(np.median(b[inside]))) * v
+    return float(np.sqrt(max(med, 1e-12))) * v
 
 
 def success(x, x_star, threshold=1e-3):

@@ -161,19 +161,21 @@ def backtrack(eval_ray, Fk_x, g2, gamma_init, rho, c):
     the point.  Returns the largest ``gamma in {gamma_init * rho^j}`` with
     ``phi(gamma) <= Fk_x - c*gamma*g2``, the number of shrinkages and the
     accepted point's ``trial``.  ``Fk_x`` is ``phi(0)`` and ``g2`` is
-    ``grad.dot(grad)``, which the caller has already formed.  The gradient
-    must be nonzero (a stationary point admits no line search); a hard cap
-    of :data:`MAX_BACKTRACKS` shrinkages turns floating-point pathologies
-    into a loud failure instead of a hang.
+    ``grad.dot(grad)``, which the caller has already formed; it must be
+    positive and finite, else a ``ValueError`` (a stationary point admits
+    no line search).  A NaN ``phi(gamma)`` satisfies no Armijo inequality,
+    so it is never accepted; a hard cap of :data:`MAX_BACKTRACKS`
+    shrinkages turns floating-point pathologies into a loud failure
+    instead of a hang.
     """
-    if g2 == 0.0:
-        raise ValueError("zero gradient: the point is already stationary")
+    if not 0.0 < g2 < math.inf:
+        raise ValueError(f"g2 = ||grad||^2 must be positive and finite, got {g2}")
     if not gamma_init > 0:
         raise ValueError("gamma_init must be positive")
     gamma, count = float(gamma_init), 0
     while True:
         value, trial = eval_ray(gamma)
-        if not value > Fk_x - c * gamma * g2:
+        if value <= Fk_x - c * gamma * g2:
             return gamma, count, trial
         gamma *= rho
         count += 1
@@ -191,6 +193,11 @@ def solve(loss, smooth_map, x1, config=None):
     second evaluation on, iteration budget, wall-clock cap), then takes a
     backtracked gradient step.  An exactly zero gradient ends the run
     immediately as ``stationary``.  Returns a :class:`RunRecord`.
+
+    A :class:`SolverError` ends the run when ``F_k`` or ``||grad F_k||^2``
+    is not finite at an iterate (a gradient whose entries are finite but
+    whose squares overflow included), or when a line search exceeds
+    :data:`MAX_BACKTRACKS` shrinkages.
 
     The map is evaluated once at ``x1`` and once per line-search trial:
     the accepted trial is the next iterate, so its point, residual and
@@ -227,13 +234,10 @@ def solve(loss, smooth_map, x1, config=None):
             mu = mu_schedule(k, cfg.eta, cfg.alpha)
             Fk, zgrad = surrogate_at_residual(loss, z, mu)
             grad = smooth_map.jt_vec(Ax, zgrad)
-            # np.linalg.norm(grad) is sqrt(grad.dot(grad)).  A finite sum of
-            # squares proves every entry finite; only when it is not (an entry
-            # is not, or the sum overflowed) are the entries scanned.
+            # np.linalg.norm(grad) is sqrt(grad.dot(grad))
             g2 = float(grad.dot(grad))
             if not (math.isfinite(Fk) and math.isfinite(g2)):
-                if not (math.isfinite(Fk) and np.all(np.isfinite(grad))):
-                    raise SolverError(f"non-finite surrogate at iteration {k}")
+                raise SolverError(f"non-finite surrogate at iteration {k}")
             gn = math.sqrt(g2)
             cost = float(loss.phi_value(z))
 

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import re
 from dataclasses import fields
@@ -37,15 +38,11 @@ def tiny_config(**overrides):
 
 
 def strip_timing(text):
-    # timing columns are the only run-dependent bytes in the CSVs
-    out = []
-    for i, line in enumerate(text.strip().split("\n")):
-        cols = line.split(",")
-        header = text.split("\n", 1)[0].split(",")
-        keep = [c for j, c in enumerate(cols)
-                if header[j] not in ("mean_seconds", "seconds")]
-        out.append(",".join(keep))
-    return "\n".join(out)
+    # timing columns are the only run-dependent cells in the CSVs; rows are
+    # parsed, since a quoted params cell can hold a comma
+    header, *rows = csv.reader(io.StringIO(text, newline=""))
+    keep = [j for j, col in enumerate(header) if col not in ("mean_seconds", "seconds")]
+    return [[row[j] for j in keep] for row in (header, *rows)]
 
 
 def test_loss_from_spec_and_labels():
@@ -106,6 +103,14 @@ def test_sweep_config_keys():
     ))
     assert cfg.solver.rho == 0.5
     assert cfg.solver.time_cap_seconds is None
+
+
+def test_every_shipped_config_loads():
+    # a config under configs/ that no longer builds would only fail when run
+    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+    assert configs
+    for path in configs:
+        sweep_config_from_dict(json.loads(path.read_text(encoding="utf-8")))
 
 
 def test_readme_lists_every_config_field():
@@ -251,13 +256,17 @@ def test_sweep_rows_in_config_order():
 
 
 def test_sweep_deterministic_across_workers(tmp_path):
-    cfg = tiny_config()
+    # mcp's params cell holds a comma, so the CSV writer quotes it
+    cfg = tiny_config(losses=[{"name": "l1"}, {"name": "trimmed_l1", "K_over_n": 0.2},
+                              {"name": "mcp", "beta": 2.0}])
     res1 = run_sweep(cfg, workers=1)
     res2 = run_sweep(cfg, workers=2)
     emit_outputs(res1, tmp_path / "w1")
     emit_outputs(res2, tmp_path / "w2")
-    for name in ("summary.csv", "trials.csv", "heatmap_l1.csv",
-                 "heatmap_trimmed_l1_Kn0.2.csv"):
+    names = sorted(p.name for p in (tmp_path / "w1").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "w2").iterdir())
+    assert len(names) == 5
+    for name in names:
         a = (tmp_path / "w1" / name).read_text(encoding="utf-8")
         b = (tmp_path / "w2" / name).read_text(encoding="utf-8")
         assert strip_timing(a) == strip_timing(b), name

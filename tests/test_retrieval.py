@@ -122,18 +122,32 @@ def test_spectral_init_quality_outlier_free():
     assert hits >= 36  # >= 90% of seeds
 
 
+def start_direction(d, seed):
+    v = np.random.default_rng([seed, 1]).standard_normal(d)
+    return v / np.linalg.norm(v)
+
+
 def test_spectral_init_degenerate_fallback():
+    # each degenerate case returns the seeded power-iteration start vector,
+    # unchanged, at radius sqrt(max(median|b|, 1e-12))
     inst = generate_instance(7, 30, 0.0, 1.0, seed=5)
+    v = start_direction(7, 5)
+    # all-zero weights: every b_i = 0 lies inside [0, tau], and Y = 0
     x1 = spectral_init(inst.A, inst.b * 0.0, 5)
-    assert np.linalg.norm(x1) == pytest.approx(1e-6)
-    x2 = spectral_init(inst.A, -np.abs(inst.b), 5)
-    assert np.all(np.isfinite(x2))
+    assert np.array_equal(x1, float(np.sqrt(1e-12)) * v)
+    # no nonnegative measurement at all
+    b = -np.abs(inst.b)
+    x2 = spectral_init(inst.A, b, 5)
+    assert np.array_equal(x2, float(np.sqrt(np.median(np.abs(b)))) * v)
     # tau = 3 * median|b| = 3 leaves no nonnegative b_i inside [0, tau]: the
     # fallback radius sqrt(median|b|) = 1, with no NaN and no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         x3 = spectral_init(np.ones((4, 2)), [-1.0, -1.0, -1.0, 100.0], 0)
-    assert np.linalg.norm(x3) == pytest.approx(1.0)
+    assert np.array_equal(x3, start_direction(2, 0))
+    # positive weights on zero rows of A: Y = 0 again
+    x4 = spectral_init(np.zeros((4, 2)), np.ones(4), 0)
+    assert np.array_equal(x4, start_direction(2, 0))
 
 
 def test_success_examples():

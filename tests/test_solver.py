@@ -105,9 +105,21 @@ def test_backtrack_tries_geometric_stepsizes():
     assert (gamma, count, trial) == (tried[-1], 3, 4)
 
 
+def test_backtrack_rejects_a_nan_trial():
+    # a NaN satisfies no Armijo inequality: the gamma = 1 trial is refused
+    # and the search goes on to gamma = 0.5
+    gamma, count, trial = backtrack(lambda g: (np.nan if g > 0.5 else 0.5, g),
+                                    1.0, 1.0, 1.0, 0.5, 1e-4)
+    assert (gamma, count, trial) == (0.5, 1, 0.5)
+
+
 def test_backtrack_zero_gradient_rejected():
-    with pytest.raises(ValueError):
-        backtrack(lambda g: (0.0, g), 1.0, 0.0, 1.0, 0.8, 1e-4)
+    # g2 = ||grad||^2 must be positive and finite: 0 is a stationary point,
+    # and a NaN, inf or negative g2 would make the Armijo threshold
+    # meaningless
+    for g2 in (0.0, np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError):
+            backtrack(lambda g: (0.0, g), 1.0, g2, 1.0, 0.8, 1e-4)
 
 
 def test_backtrack_cap_is_loud(monkeypatch):
@@ -291,18 +303,39 @@ def test_solve_rejects_non_finite_surrogate():
         assert isinstance(err.value.seconds, float) and err.value.seconds > 0
 
 
-def test_solve_accepts_finite_gradient_whose_square_sum_overflows():
-    # every entry finite but ||grad||^2 = inf: the gradient is not
-    # non-finite, so iteration 1 steps (to a point whose residual
-    # overflows, which iteration 2 rejects)
+def test_solve_rejects_finite_gradient_whose_square_sum_overflows():
+    # every entry finite but ||grad||^2 = inf: no Armijo threshold exists,
+    # so iteration 1 stops before it steps
     inst, m = small_instance(seed=10, d=5, n=25)
     huge = dataclasses.replace(m, jt_vec=lambda Ax, v: np.full(5, 1e160))
-    with pytest.raises(SolverError, match="non-finite surrogate") as err, \
-            np.errstate(over="ignore", invalid="ignore"):
+    with pytest.raises(SolverError, match="non-finite surrogate at iteration 1") as err, \
+            np.errstate(over="ignore"):
         solve(make_loss("l1", 25), huge, spectral_init(inst.A, inst.b, 10),
               SolverConfig(time_cap_seconds=None))
-    assert err.value.iteration == 2
+    assert err.value.iteration == 1
     assert isinstance(err.value.seconds, float) and err.value.seconds > 0
+
+
+def test_solve_steps_past_trials_whose_residual_overflows():
+    # trials beyond 1.5 ||x1|| get an infinite residual, so their surrogate
+    # is not finite; the line search must shrink past them, not accept one
+    inst = generate_instance(5, 25, 0.2, 1.0, seed=10)
+    m = rpr_map(inst.A, inst.b)
+    x1 = spectral_init(inst.A, inst.b, 10)
+    radius = 1.5 * np.linalg.norm(x1)
+
+    def capped_eval(x):
+        z, Ax = m.eval(x)
+        if np.linalg.norm(x) > radius:
+            z = np.full_like(z, np.inf)
+        return z, Ax
+
+    with np.errstate(invalid="ignore"):
+        rec = solve(make_loss("l1", 25), dataclasses.replace(m, eval=capped_eval), x1,
+                    SolverConfig(time_cap_seconds=None))
+    assert rec.iterations >= 1
+    assert np.all(np.isfinite(rec.surrogate_values))
+    assert np.linalg.norm(rec.x_final) <= radius
 
 
 def test_solver_config_validation():
