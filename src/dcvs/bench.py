@@ -40,6 +40,9 @@ TRIAL_COLUMNS = (
     "d", "n", "n_over_d", "p_fail", "s", "loss", "params", "trial", "seed",
     "rel_error", "success", "iterations", "termination", "seconds", "error",
 )
+# the wall-clock columns: the only cells of a written sweep that may differ
+# between two runs of one config
+TIMING_COLUMNS = ("seconds", "mean_seconds")
 
 
 @dataclass

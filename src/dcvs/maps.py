@@ -37,12 +37,14 @@ class SmoothMap:
 def _measurements(A, b):
     """The measurement pair ``(A, b)`` as float arrays, checked once for
     every consumer: ``A`` a matrix with at least one row, ``b`` a vector
-    with one entry per row."""
+    with one entry per row, and every entry of both finite."""
     A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
     if A.ndim != 2 or A.shape[0] < 1:
         raise ValueError(f"A must be a matrix with at least one row, got shape {A.shape}")
     if b.shape != A.shape[:1]:
         raise ValueError(f"b must be a vector of length {A.shape[0]}, got shape {b.shape}")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError(f"{'b' if np.isfinite(A).all() else 'A'} must have only finite entries")
     return A, b
 
 

@@ -78,13 +78,12 @@ def generate_instance(d, n, p_fail, s, outlier_kind="cauchy",
 
     clean = (A @ x_star) ** 2
     b = clean + eps
-    if n_out:
-        M = float(clean.max())
-        if outlier_kind == "cauchy":
-            xi = s * M * np.tan(0.5 * np.pi * u)
-        else:
-            xi = s * M * u
-        b[outlier_idx] = xi
+    M = float(clean.max())
+    if outlier_kind == "cauchy":
+        xi = s * M * np.tan(0.5 * np.pi * u)
+    else:
+        xi = s * M * u
+    b[outlier_idx] = xi
     return Instance(A=A, b=b, x_star=x_star,
                     outlier_idx=outlier_idx.astype(np.int64))
 

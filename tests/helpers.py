@@ -1,10 +1,13 @@
 """Shared fixtures-in-code for the test suite: loss catalogs, random
-instances, the iterates of a recorded solve, and breakpoint-distance
-predicates for finite-difference checks."""
+instances, the iterates of a recorded solve, the cells of a written sweep,
+and breakpoint-distance predicates for finite-difference checks."""
+
+import csv
 
 import numpy as np
 
 from dcvs import generate_instance, make_loss, rpr_map, surrogate_oracle
+from dcvs.bench import TIMING_COLUMNS
 from dcvs.prox import (
     _clip_threshold,
     moreau_value_and_grad,
@@ -64,6 +67,17 @@ def replay_iterates(loss, smooth_map, x1, record):
         points.append(x)
     assert x.tobytes() == record.x_final.tobytes(), "the replay left the solver's path"
     return np.asarray(points)
+
+
+def sweep_cells(path):
+    """The cells of the sweep CSV at ``path`` as ``csv.reader`` reads them,
+    header row first, without the wall-clock ``TIMING_COLUMNS``: what two
+    runs of one config must agree on.  A quoted ``params`` cell can hold a
+    comma, so rows are parsed, not split."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    keep = [j for j, col in enumerate(header) if col not in TIMING_COLUMNS]
+    return [[row[j] for j in keep] for row in (header, *rows)]
 
 
 def breakpoint_gap(loss, z, mu):

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import draw_x_away_from_kinks, replay_iterates
+from helpers import draw_x_away_from_kinks, replay_iterates, sweep_cells
 
 from dcvs import (
     SolverConfig,
@@ -271,28 +271,16 @@ def test_criterion_5_success_rate_reproduction(outlier_sweep):
     assert plain < trimmed
 
 
-def _strip_timing_columns(path):
-    lines = path.read_text(encoding="utf-8").strip().split("\n")
-    header = lines[0].split(",")
-    keep = [j for j, name in enumerate(header)
-            if name not in ("mean_seconds", "seconds")]
-    return "\n".join(
-        ",".join(line.split(",")[j] for j in keep) for line in lines
-    )
-
-
 def test_criterion_8_determinism_across_workers(outlier_sweep):
     _, _, dir1, dir8 = outlier_sweep
     mismatches = []
     for name in ("summary.csv", "trials.csv", "heatmap_trimmed_l1_Kn0.4.csv",
                  "heatmap_l1.csv"):
-        a = _strip_timing_columns(dir1 / name)
-        b = _strip_timing_columns(dir8 / name)
-        if a != b:
+        if sweep_cells(dir1 / name) != sweep_cells(dir8 / name):
             mismatches.append(name)
     ok = not mismatches
-    _line(8, ok, "1-worker and 8-worker sweeps byte-identical outside the "
-                 "wall-clock timing columns"
+    _line(8, ok, "1-worker and 8-worker sweeps identical cell for cell outside "
+                 "the wall-clock columns"
                  + ("" if ok else f"; mismatched: {mismatches}"))
     assert ok
 

@@ -1,5 +1,4 @@
 import csv
-import io
 import json
 import re
 from dataclasses import fields
@@ -7,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import BAD_LOSS_SPECS
+from helpers import BAD_LOSS_SPECS, sweep_cells
 
 import dcvs.solver
 from dcvs.bench import (
@@ -35,14 +34,6 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return SweepConfig(**base)
-
-
-def strip_timing(text):
-    # timing columns are the only run-dependent cells in the CSVs; rows are
-    # parsed, since a quoted params cell can hold a comma
-    header, *rows = csv.reader(io.StringIO(text, newline=""))
-    keep = [j for j, col in enumerate(header) if col not in ("mean_seconds", "seconds")]
-    return [[row[j] for j in keep] for row in (header, *rows)]
 
 
 def test_loss_from_spec_and_labels():
@@ -219,9 +210,8 @@ def test_direct_and_loaded_configs_write_the_same_csvs(tmp_path):
     names = sorted(p.name for p in (tmp_path / "direct").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "loaded").iterdir())
     for name in names:
-        a = (tmp_path / "direct" / name).read_text(encoding="utf-8")
-        b = (tmp_path / "loaded" / name).read_text(encoding="utf-8")
-        assert strip_timing(a) == strip_timing(b), name
+        direct, loaded = (sweep_cells(tmp_path / tag / name) for tag in ("direct", "loaded"))
+        assert direct == loaded, name
     heat = (tmp_path / "direct" / "heatmap_l1.csv").read_text(encoding="utf-8")
     assert heat.split("\n")[1].startswith("0.0,")
 
@@ -267,9 +257,7 @@ def test_sweep_deterministic_across_workers(tmp_path):
     assert names == sorted(p.name for p in (tmp_path / "w2").iterdir())
     assert len(names) == 5
     for name in names:
-        a = (tmp_path / "w1" / name).read_text(encoding="utf-8")
-        b = (tmp_path / "w2" / name).read_text(encoding="utf-8")
-        assert strip_timing(a) == strip_timing(b), name
+        assert sweep_cells(tmp_path / "w1" / name) == sweep_cells(tmp_path / "w2" / name), name
 
 
 def test_run_sweep_rejects_negative_workers():

@@ -27,6 +27,12 @@ def test_rpr_eval_shape_errors():
         rpr_map(np.eye(2), np.zeros(3))
     with pytest.raises(ValueError, match="^A must be"):
         rpr_map(np.ones((0, 2)), np.zeros(0))  # no measurement to fit
+    # a NaN or infinite measurement is bad data, not a solver failure
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^A must have only finite"):
+            rpr_map(np.array([[1.0, bad], [0.0, 1.0]]), np.zeros(2))
+        with pytest.raises(ValueError, match="^b must have only finite"):
+            rpr_map(np.eye(2), np.array([0.0, -bad]))
     m = rpr_map(np.ones((3, 2)), np.zeros(3))
     # numpy alone would broadcast the (d, 1) point and the length-1 vectors
     for bad_x in (np.zeros(3), np.zeros((2, 1))):

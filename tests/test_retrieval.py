@@ -107,6 +107,9 @@ def test_spectral_init_validation():
         spectral_init(inst.A[0], inst.b[:1], 2)
     with pytest.raises(ValueError, match="^b must be"):
         spectral_init(inst.A, inst.b[:-1], 2)
+    # a NaN measurement gave an all-NaN start
+    with pytest.raises(ValueError, match="^b must have only finite"):
+        spectral_init(inst.A, np.where(np.arange(30) == 3, np.nan, inst.b), 2)
     assert np.array_equal(spectral_init(inst.A, inst.b, 2.0), spectral_init(inst.A, inst.b, 2))
 
 
@@ -177,9 +180,13 @@ def test_kappa_mu_values():
         kappa_mu(np.ones((3, 2)), np.ones(2), 1.0, 1.0, 0.5)
     with pytest.raises(ValueError, match="^A must be"):
         kappa_mu(np.ones((0, 2)), np.ones(0), 1.0, 1.0, 0.5)
-    # a NaN L_g is no bound, as a NaN lam or mu is not
-    with pytest.raises(ValueError, match="L_g"):
-        kappa_mu(np.array([[1.0]]), np.array([1.0]), 1.0, float("nan"), 0.5)
+    # a NaN or nonpositive lam or mu, or a NaN L_g, is no bound, and an
+    # infinite measurement gave an infinite one
+    for lam, L_g, mu, b, name in ((1.0, np.nan, 0.5, 1.0, "L_g"), (1.0, 1.0, 0.0, 1.0, "mu"),
+                                  (1.0, 1.0, np.nan, 1.0, "mu"), (0.0, 1.0, 0.5, 1.0, "lam"),
+                                  (1.0, 1.0, 0.5, np.inf, "b")):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            kappa_mu(np.array([[1.0]]), np.array([b]), lam, L_g, mu)
 
 
 def test_kappa_mu_affine_in_inverse_mu():

@@ -116,10 +116,11 @@ def test_backtrack_rejects_a_nan_trial():
 def test_backtrack_zero_gradient_rejected():
     # g2 = ||grad||^2 must be positive and finite: 0 is a stationary point,
     # and a NaN, inf or negative g2 would make the Armijo threshold
-    # meaningless
-    for g2 in (0.0, np.nan, np.inf, -1.0):
+    # meaningless; the first trial stepsize must be positive too
+    for g2, gamma_init in ((0.0, 1.0), (np.nan, 1.0), (np.inf, 1.0), (-1.0, 1.0),
+                           (1.0, 0.0), (1.0, -1.0), (1.0, np.nan)):
         with pytest.raises(ValueError):
-            backtrack(lambda g: (0.0, g), 1.0, g2, 1.0, 0.8, 1e-4)
+            backtrack(lambda g: (0.0, g), 1.0, g2, gamma_init, 0.8, 1e-4)
 
 
 def test_backtrack_cap_is_loud(monkeypatch):

@@ -58,6 +58,7 @@ from dcvs.bench import emit_outputs, run_sweep, seeded_problem, sweep_config_fro
 
 HASHED = ("x_final", "mus", "surrogate_values", "grad_norms", "cost_values",
           "gammas", "gamma_inits", "backtrack_counts")
+# a copy of dcvs.bench.TIMING_COLUMNS, since the tool also runs in older checkouts without it
 TIMING_COLUMNS = ("seconds", "mean_seconds")
 
 
