@@ -210,9 +210,9 @@ def test_clip_threshold_matches_all_kink_reference_on_a_solve(monkeypatch):
     inst, smooth_map = small_instance(seed=5, d=20, n=n, p_fail=0.4)
     calls = []
 
-    def recording_prox_topk(z, K, mu):
+    def recording_prox_topk(z, k, mu):
         calls.append((np.array(z, dtype=float), mu))
-        return prox.prox_topk(z, K, mu)
+        return prox.prox_topk(z, k, mu)
 
     # the trimmed loss looks prox_topk up in dcvs.losses at each call
     monkeypatch.setattr(dcvs.losses, "prox_topk", recording_prox_topk)
