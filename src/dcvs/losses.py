@@ -97,13 +97,17 @@ def make_loss(name, n, lam=1.0, beta=None, K=None):
         if not (0 < lam < np.inf and beta is not None and 0 < beta < np.inf):
             raise ValueError("mcp needs finite lam > 0 and beta > 0")
         params, L_g = {"lam": lam, "beta": beta}, lam * sqrt_n
-        g_value = lambda z: float(huber_value(z, lam, beta).sum())
+        g_value = lambda z: float(np.add.reduce(huber_value(z, lam, beta)))
         g_prox = lambda z, mu: prox_huber(z, lam, beta, mu)
     elif name == "capped_l1":
         if beta is None or not 0 < beta < np.inf:
             raise ValueError("capped_l1 needs a finite beta > 0")
         params, L_g = {"beta": beta}, sqrt_n
-        g_value = lambda z: float(np.maximum(np.abs(z) - beta, 0.0).sum())
+
+        def g_value(z):
+            excess = np.abs(z)
+            excess -= beta
+            return float(np.add.reduce(np.maximum(excess, 0.0, out=excess)))
         g_prox = lambda z, mu: prox_capped_complement(z, beta, mu)
     elif name == "trimmed_l1":
         # an integer type only: K=2.0 is an error, not read as 2
@@ -124,7 +128,7 @@ def make_loss(name, n, lam=1.0, beta=None, K=None):
 
     return DcLoss(
         name=name, params=params, n=n,
-        f_value=lambda z: lam * float(np.abs(z).sum()),
+        f_value=lambda z: lam * float(np.add.reduce(np.abs(z))),
         g_value=g_value,
         f_prox=lambda z, mu: prox_scaled_abs(z, mu, lam),
         g_prox=g_prox,
@@ -213,4 +217,10 @@ def surrogate_at_residual(loss, z, mu, grad=True):
     f_env, f_step = _moreau_step(pf, z, loss.f_value(pf), mu)
     pg = loss.g_prox(z, mu)
     g_env, g_step = _moreau_step(pg, z, loss.g_value(pg), mu)
-    return (f_env - g_env, f_step / mu - g_step / mu) if grad else f_env - g_env
+    if not grad:
+        return f_env - g_env
+    # f_step / mu - g_step / mu, in the steps _moreau_step made
+    f_step /= mu
+    g_step /= mu
+    f_step -= g_step
+    return f_env - g_env, f_step

@@ -72,9 +72,13 @@ def rpr_map(A, b):
 
     def eval_(x):
         Ax = A @ _vector("x", x, d)
-        return Ax * Ax - b, Ax
+        z = Ax * Ax
+        z -= b
+        return z, Ax
 
     def jt_vec(Ax, v):
-        return 2.0 * (A.T @ (_vector("Ax", Ax, n) * _vector("v", v, n)))
+        g = A.T @ (_vector("Ax", Ax, n) * _vector("v", v, n))
+        g *= 2.0
+        return g
 
     return SmoothMap(in_dim=d, out_dim=n, eval=eval_, jt_vec=jt_vec)

@@ -76,7 +76,12 @@ def huber_value(t, lam, beta):
         _require_positive(lam=lam, beta=beta)
     t = np.asarray(t, dtype=float)
     a = np.abs(t)
-    return np.where(a <= beta * lam, t * t / (2.0 * beta), lam * a - beta * lam**2 / 2.0)
+    quadratic = a <= beta * lam
+    a *= lam  # the linear branch, in a (a 0-d t makes a a scalar, rebound)
+    a -= beta * lam**2 / 2.0
+    square = t * t
+    square /= 2.0 * beta
+    return np.where(quadratic, square, a)
 
 
 def mcp_value(t, lam, beta):
@@ -132,7 +137,9 @@ def topk_value(z, K):
         raise ValueError(f"K must be in [0, {n}], got {K}")
     if K == 0:
         return 0.0
-    return float(np.partition(np.abs(z), n - K)[n - K:].sum())
+    a = np.abs(z)
+    a.partition(n - K)
+    return float(np.add.reduce(a[n - K:]))
 
 
 def prox_topk(z, K, mu):
@@ -161,11 +168,15 @@ def prox_topk(z, K, mu):
         raise ValueError(f"K must be in [0, {z.size}], got {K}")
     if K == 0:
         return z.copy()
-    a = np.abs(z)
+    a = np.abs(z, out=np.empty_like(z))  # an array for a 0-d z too
     theta = _clip_threshold(a, mu, K)
-    # np.clip's values, with less call overhead; copysign(c, z) is
-    # sign(z)*c for every c >= 0 and z != 0, and at z = 0 c is 0
-    return z - np.copysign(np.minimum(np.maximum(a - theta, 0.0), mu), z)
+    # np.clip's values in place in a, with less call overhead; copysign(c,
+    # z) is sign(z)*c for every c >= 0 and z != 0, and at z = 0 c is 0
+    a -= theta
+    np.maximum(a, 0.0, out=a)
+    np.minimum(a, mu, out=a)
+    np.copysign(a, z, out=a)
+    return np.subtract(z, a, out=a)
 
 
 def _clip_threshold(a, box, K):
@@ -275,4 +286,4 @@ def moreau_value_and_grad(prox_point, z, value_at_prox, mu):
 
 def _moreau_step(prox_point, z, value_at_prox, mu):
     diff = z - prox_point
-    return value_at_prox + float((diff * diff).sum()) / (2.0 * mu), diff
+    return value_at_prox + float(np.add.reduce(np.square(diff))) / (2.0 * mu), diff

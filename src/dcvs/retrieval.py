@@ -8,6 +8,7 @@ PCG64 generator (``numpy.random.default_rng``) with a fixed draw order,
 so an instance is a pure function of its parameters and seed.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,8 @@ def generate_instance(d, n, p_fail, s, outlier_kind="cauchy",
     ``s*M*tan(0.5*pi*u)`` (cauchy) or ``s*M*u`` (uniform) with ``M`` the
     largest clean measurement; they replace the affected entries.  ``d``,
     ``n`` and ``seed`` are counts, with ``1 <= d <= n`` and ``seed >= 0``;
-    ``5.0`` reads as 5.
+    ``5.0`` reads as 5.  An ``s`` so large that an outlier value overflows
+    is a ``ValueError`` that names it.
     """
     d, n, n_out = _check_instance_args(d, n, p_fail, s, outlier_kind, noise_variance)
     rng = np.random.default_rng(_number(seed, "seed", integral=True, low=0))
@@ -83,6 +85,9 @@ def generate_instance(d, n, p_fail, s, outlier_kind="cauchy",
         xi = s * M * np.tan(0.5 * np.pi * u)
     else:
         xi = s * M * u
+    if not np.isfinite(xi).all():
+        raise ValueError(f"s = {s!r} overflows {np.count_nonzero(~np.isfinite(xi))} of "
+                         f"{n_out} outlier values (largest clean measurement M = {M:g})")
     b[outlier_idx] = xi
     return Instance(A=A, b=b, x_star=x_star,
                     outlier_idx=outlier_idx.astype(np.int64))
@@ -90,6 +95,40 @@ def generate_instance(d, n, p_fail, s, outlier_kind="cauchy",
 
 SPECTRAL_CAP_MULTIPLE = 3.0
 SPECTRAL_POWER_ITERS = 100
+# Rows of the spectral form per gemm: every block but the last has this
+# many, the last the rest (96 to 191 rows).  Measured on OpenBLAS (Haswell
+# kernels, one thread): the blocks keep the single product's bits when
+# each block edge is a multiple of 12 rows and no block is small enough
+# (M*N*K <= 100**3) for the small-matrix kernel; balanced blocks of up to
+# 128 rows changed them at d = 220, 300 and 500.  96 is a multiple of 48.
+SPECTRAL_BLOCK_ROWS = 96
+
+
+def _spectral_form(A, b, keep, tau):
+    """The quadratic form ``(1/n) * sum over keep of min(b_i, tau) a_i a_i^T``.
+
+    It is the product ``A_k^T W / n`` of the kept rows ``A_k`` with their
+    weighted copy ``W``, formed in place.  ``Y`` is filled in row blocks
+    of :data:`SPECTRAL_BLOCK_ROWS` rows (``d < 192`` is one block), each
+    the product of a column block of ``A_k`` with ``W``, so ``A_k`` is
+    never copied in full: beside ``A`` the form holds ``W``, one block and
+    ``Y``, about ``|A| * (1 + h/d)`` bytes with ``h`` the tallest block's
+    rows, where the single product ``A_k^T (w * A_k)`` held ``2|A|`` plus
+    two copies of ``Y``.  On one BLAS thread the blocks give ``Y`` the
+    single product's bits (the tests check both forms ``==`` on several
+    shapes).  On more threads OpenBLAS splits each product by its shape,
+    and neither form keeps the bits of another thread count.
+    """
+    n, d = A.shape
+    W = A[keep]
+    W *= np.minimum(b[keep], tau)[:, None]
+    Y = np.empty((d, d))
+    blocks = max(d // SPECTRAL_BLOCK_ROWS, 1)
+    edges = [SPECTRAL_BLOCK_ROWS * i for i in range(blocks)] + [d]
+    for lo, hi in zip(edges, edges[1:]):
+        np.matmul(A[keep, lo:hi].T, W, out=Y[lo:hi])
+    Y /= n
+    return Y
 
 
 def spectral_init(A, b, seed):
@@ -110,12 +149,18 @@ def spectral_init(A, b, seed):
     :func:`generate_instance`'s rule: an integer >= 0, with ``5.0`` read
     as 5 and a bool or string rejected.  ``A`` and ``b`` are checked as
     :func:`dcvs.maps.rpr_map` checks them.
+
+    The form is built in row blocks by :func:`_spectral_form`, whose
+    transient memory is about ``|A| * (1 + h/d)`` for blocks of at most
+    ``h`` rows rather than ``2|A|``.  Each vector is normalised by
+    ``sqrt(w.w)``, the number ``np.linalg.norm`` returns for a real
+    vector.
     """
     A, b = _measurements(A, b)
     n, d = A.shape
     rng = np.random.default_rng([_number(seed, "seed", integral=True, low=0), 1])
     v = rng.standard_normal(d)
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(v.dot(v))
 
     med = float(np.median(np.abs(b)))
     tau = SPECTRAL_CAP_MULTIPLE * med
@@ -123,12 +168,11 @@ def spectral_init(A, b, seed):
     inside = keep & (b <= tau)
     if inside.any():
         # all-zero weights give Y == 0, and so the fallback
-        Ak = A[keep]
-        Y = Ak.T @ (np.minimum(b[keep], tau)[:, None] * Ak) / n
+        Y = _spectral_form(A, b, keep, tau)
         if np.any(Y):
             for _ in range(SPECTRAL_POWER_ITERS):
                 w = Y @ v
-                norm_w = np.linalg.norm(w)
+                norm_w = math.sqrt(w.dot(w))
                 if norm_w == 0.0:
                     break
                 v = w / norm_w

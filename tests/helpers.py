@@ -1,6 +1,7 @@
 """Shared fixtures-in-code for the test suite: loss catalogs, random
 instances, the iterates of a recorded solve, the cells of a written sweep,
-and breakpoint-distance predicates for finite-difference checks."""
+breakpoint-distance predicates for finite-difference checks, and the
+direct expressions that the package's leaner forms are checked against."""
 
 import csv
 
@@ -8,6 +9,7 @@ import numpy as np
 
 from dcvs import generate_instance, make_loss, rpr_map, surrogate_oracle
 from dcvs.bench import TIMING_COLUMNS
+from dcvs.retrieval import SPECTRAL_CAP_MULTIPLE, _spectral_form
 from dcvs.prox import (
     _clip_threshold,
     moreau_value_and_grad,
@@ -204,3 +206,37 @@ def prox_topk_reference(z, K, mu):
     a = np.abs(z)
     theta = _clip_threshold(a, mu, K)
     return z - np.sign(z) * np.minimum(np.maximum(a - theta, 0.0), mu)
+
+
+def huber_value_reference(t, lam, beta):
+    t = np.asarray(t, dtype=float)
+    a = np.abs(t)
+    return np.where(a <= beta * lam, t * t / (2.0 * beta), lam * a - beta * lam**2 / 2.0)
+
+
+def topk_value_reference(z, K):
+    z = np.asarray(z, dtype=float)
+    n = z.size
+    return 0.0 if K == 0 else float(np.partition(np.abs(z), n - K)[n - K:].sum())
+
+
+def spectral_form_reference(A, b, keep, tau):
+    """Reference for :func:`dcvs.retrieval._spectral_form`: the single
+    product ``A_k^T (w * A_k) / n`` that its row blocks replace."""
+    Ak = A[keep]
+    return Ak.T @ (np.minimum(b[keep], tau)[:, None] * Ak) / A.shape[0]
+
+
+def spectral_form_mismatches(shapes, seed=0):
+    """The ``(d, n)`` of ``shapes`` at which :func:`_spectral_form` and
+    :func:`spectral_form_reference` differ in any bit, each on an instance
+    with 30% Cauchy outliers, weighted as ``spectral_init`` weights it."""
+    differ = []
+    for d, n in shapes:
+        inst = generate_instance(d, n, 0.3, 1.0, seed=seed)
+        A, b = inst.A, inst.b
+        keep, tau = b >= 0.0, SPECTRAL_CAP_MULTIPLE * float(np.median(np.abs(b)))
+        if not np.array_equal(_spectral_form(A, b, keep, tau),
+                              spectral_form_reference(A, b, keep, tau)):
+            differ.append((d, n))
+    return differ

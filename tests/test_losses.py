@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from helpers import breakpoint_gap, catalog_losses, surrogate_reference
 
-from dcvs import make_loss, surrogate_at_residual
+from dcvs import generate_instance, make_loss, prox, rpr_map, spectral_init, surrogate_at_residual
 from dcvs.losses import MU_MAX
 from dcvs.oracle import fd_grad
 
@@ -229,3 +229,32 @@ def test_surrogate_gradient_vs_finite_differences():
             val, grad = surrogate_at_residual(loss, z, mu)
             fd = fd_grad(lambda y: surrogate_at_residual(loss, y, mu)[0], z)
             assert np.linalg.norm(fd - grad) <= 1e-5 * (1.0 + np.linalg.norm(grad))
+
+
+def test_kernels_leave_their_inputs_unchanged():
+    # the step's kernels write in place only into arrays they made: every
+    # input here is read-only, so a write into one would raise, and each
+    # still holds its bytes afterwards; d = 200 puts spectral_init's form
+    # in two row blocks
+    inst = generate_instance(200, 1000, 0.3, 1.0, seed=3)
+    rng = np.random.default_rng(16)
+    inputs = {"A": inst.A, "b": inst.b, "x": rng.standard_normal(200),
+              "v": rng.standard_normal(1000), "z": rng.standard_normal(1000) * 3.0}
+    saved = {key: value.copy() for key, value in inputs.items()}
+    for value in inputs.values():
+        value.flags.writeable = False
+    A, b, x, v, z = inputs.values()
+    smooth_map = rpr_map(A, b)
+    residual, Ax = smooth_map.eval(x)
+    Ax.flags.writeable = False
+    smooth_map.jt_vec(Ax, v)
+    spectral_init(A, b, 3)
+    for loss in catalog_losses(1000):
+        loss.phi_value(z)
+        for grad in (True, False):
+            surrogate_at_residual(loss, z, 0.3, grad=grad)
+    prox.huber_value(z, 1.0, 2.0)
+    prox.topk_value(z, 300)
+    prox.prox_topk(z, 300, 0.3)
+    for key, value in inputs.items():
+        assert value.tobytes() == saved[key].tobytes(), key

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from helpers import (
     clip_threshold_all_kinks,
+    huber_value_reference,
     prox_capped_complement_reference,
     prox_huber_reference,
     prox_scaled_abs_reference,
     prox_topk_reference,
     small_instance,
+    topk_value_reference,
 )
 
 import dcvs.losses
@@ -245,12 +247,16 @@ def test_clip_threshold_zero_where_first_kink_fits(z, K):
     assert prox._clip_threshold(a, 0.3, K) == 0.0
 
 
-# (function, reference), both called as f(t, lam, beta, mu)
+# (function, reference), both called as f(t, lam, beta, mu); huber_value
+# is no prox, but builds its two branches in arrays it owns
 SCALAR_PROX_REFERENCES = {
     "prox_scaled_abs": (
         lambda t, lam, beta, mu: prox.prox_scaled_abs(t, mu, lam),
         lambda t, lam, beta, mu: prox_scaled_abs_reference(t, mu, lam)),
     "prox_huber": (prox.prox_huber, prox_huber_reference),
+    "huber_value": (
+        lambda t, lam, beta, mu: prox.huber_value(t, lam, beta),
+        lambda t, lam, beta, mu: huber_value_reference(t, lam, beta)),
     "prox_capped_complement": (
         lambda t, lam, beta, mu: prox.prox_capped_complement(t, beta, mu),
         lambda t, lam, beta, mu: prox_capped_complement_reference(t, beta, mu)),
@@ -288,7 +294,8 @@ def test_scalar_prox_matches_reference(name):
 def test_prox_topk_matches_reference_at_extreme_entries():
     # random draws are compared with the sign/clip form in
     # _check_against_all_kinks; here signed zeros, infinite and 1e12
-    # entries (an infinite prefix sum makes inf - inf slacks on both sides)
+    # entries (an infinite prefix sum makes inf - inf slacks on both sides).
+    # topk_value partitions its own |z|: the np.partition copy's sum
     rng = np.random.default_rng(14)
     z = np.concatenate([rng.standard_normal(40), [0.0, -0.0, 1e12, -1e12, np.inf, -np.inf]])
     with np.errstate(invalid="ignore"):
@@ -296,6 +303,9 @@ def test_prox_topk_matches_reference_at_extreme_entries():
             for mu in (1e-3, 0.3, 1.0):
                 np.testing.assert_array_equal(prox.prox_topk(z, K, mu),
                                               prox_topk_reference(z, K, mu))
+            assert prox.topk_value(z, K) == topk_value_reference(z, K)
+            finite, k = z[:44], min(K, 44)  # the infinite entries make most sums inf
+            assert prox.topk_value(finite, k) == topk_value_reference(finite, k)
 
 
 @pytest.mark.parametrize(

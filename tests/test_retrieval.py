@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import catalog_losses
+from helpers import catalog_losses, spectral_form_mismatches
 
 from dcvs import (
     SolverConfig,
@@ -81,6 +86,11 @@ def test_generate_instance_validation():
     for d, n, field in ((True, 20, "d"), (2.5, 20, "d"), (5, 10**400, "n")):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             generate_instance(d, n, 0.1, 1.0)
+    # a finite s whose outliers overflow: it used to return 8 infinite
+    # measurements, rejected only later as "b must have only finite entries"
+    for kind in ("cauchy", "uniform"):
+        with pytest.raises(ValueError, match="^s = 1e\\+308 overflows 8 of 8 outlier values"):
+            generate_instance(5, 40, 0.2, 1e308, outlier_kind=kind, seed=1)
     as_floats = generate_instance(5.0, 20.0, 0.1, 1.0, seed=3)
     as_ints = generate_instance(5, 20, 0.1, 1.0, seed=3)
     for key in ("A", "b", "x_star", "outlier_idx"):
@@ -111,6 +121,45 @@ def test_spectral_init_validation():
     with pytest.raises(ValueError, match="^b must have only finite"):
         spectral_init(inst.A, np.where(np.arange(30) == 3, np.nan, inst.b), 2)
     assert np.array_equal(spectral_init(inst.A, inst.b, 2.0), spectral_init(inst.A, inst.b, 2))
+
+
+# spectral forms of one row block (d < 192), two, three and four
+SPECTRAL_FORM_SHAPES = [(30, 240), (100, 1000), (129, 645), (200, 1000), (256, 1280),
+                        (300, 1500), (400, 2000)]
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def test_spectral_form_blocks_keep_the_single_product_bits():
+    # OpenBLAS's bits depend on its thread count, the single product's
+    # included, so the row blocks promise that product's bits on one
+    # thread, as tools/record_hash.py and the benchmark run; a fresh
+    # interpreter pins it before numpy loads
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"),
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
+    code = ("from helpers import spectral_form_mismatches as m; "
+            f"print(m({SPECTRAL_FORM_SHAPES!r}))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    # one block is the single product itself, on any thread count
+    assert spectral_form_mismatches([(d, n) for d, n in SPECTRAL_FORM_SHAPES if d < 192]) == []
+
+
+def test_spectral_init_peak_memory():
+    # the form's transient is |A| (the weighted rows) plus one column block
+    # of A and Y: 1.48 |A| here, where the single product read 2.2 |A|
+    inst = generate_instance(400, 2000, 0.4, 1.0, seed=0)
+    spectral_init(inst.A[:40, :8], inst.b[:40], 0)  # numpy's first-call set-up, untraced
+    tracemalloc.start()
+    try:
+        spectral_init(inst.A, inst.b, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * inst.A.nbytes
 
 
 def test_spectral_init_quality_outlier_free():

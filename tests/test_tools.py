@@ -19,15 +19,19 @@ def run_tool(name, *args, cwd):
 
 
 def test_record_hash_block_is_repeatable(tmp_path):
-    runs = [run_tool("record_hash.py", "--d", 8, "--n", 40, "--seeds", 1, cwd=tmp_path)
-            for _ in range(2)]
-    lines = runs[0]
-    assert [line.split()[0] for line in lines[1:5]] == ["l1", "mcp", "capped_l1",
-                                                        "trimmed_l1"]
-    assert all(" iterations " in line for line in lines[1:5])
-    assert re.fullmatch(r"sha256 [0-9a-f]{16}", lines[5])
-    assert len(lines) == 6
-    assert runs[1] == runs[0]
+    # d=200 puts spectral_init's form in two row blocks; d=100, the
+    # default, builds it in one product
+    for d, n in ((8, 40), (200, 1000)):
+        runs = [run_tool("record_hash.py", "--d", d, "--n", n, "--seeds", 1, cwd=tmp_path)
+                for _ in range(2)]
+        lines = runs[0]
+        assert lines[0] == f"d={d} n={n} p_fail=0.4 seeds 0-0"
+        assert [line.split()[0] for line in lines[1:5]] == ["l1", "mcp", "capped_l1",
+                                                            "trimmed_l1"]
+        assert all(" iterations " in line for line in lines[1:5])
+        assert re.fullmatch(r"sha256 [0-9a-f]{16}", lines[5])
+        assert len(lines) == 6
+        assert runs[1] == runs[0]
 
 
 def test_record_hash_sweep_workers_agree(tmp_path):

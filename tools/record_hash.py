@@ -16,7 +16,10 @@ the termination counts per loss, then a 16-hex sha256 over ``x_final``,
 ``gammas``, ``gamma_inits``, ``backtrack_counts`` and ``termination`` of
 each solve, in that order.  The defaults are the seed-0 block of
 perfbench's ``solve-d100`` workload; ``--d 400 --n 4000 --seeds 4`` is
-that of ``solve-d400``.
+that of ``solve-d400``.  At ``d = 100`` ``spectral_init`` builds its
+quadratic form in one product, and from ``d = 192`` in row blocks, so a
+change to the set-up must also be checked with ``--d 400 --n 4000
+--seeds 4``.
 
 ``--sweep [CONFIG]`` checks a sweep instead (``configs/reduced_sweep.json``
 by default).  It sets ``solver.time_cap_seconds`` to null and runs
