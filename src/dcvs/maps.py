@@ -3,9 +3,12 @@
 ``eval(x)`` returns the residual ``S(x)`` together with the
 linearisation ``Ax`` it was built from, and the only derivative
 primitive, ``jt_vec(Ax, v) = D S(x)^T v``, takes that linearisation in
-place of ``x``, so a product at an evaluated point costs one matvec.  Full
-Jacobians are never materialized.  The quadratic residual map used by
-robust phase retrieval is provided.
+place of ``x``, so a product at an evaluated point costs one matvec.  The
+linearisation moves along a ray with the point: ``A(x - γv) = Ax - γ·Av``,
+so ``matvec(v)`` once and ``residual`` per point give the residual at
+every point of the ray without another product.  Full Jacobians are
+never materialized.  The quadratic residual map used by robust phase
+retrieval is provided.
 """
 
 from dataclasses import dataclass
@@ -25,13 +28,18 @@ class SmoothMap:
 
     ``eval(x)`` maps a point to the pair ``(z, Ax)``: the residual vector
     and the linearisation of the map at ``x``.  ``jt_vec(Ax, v)`` applies
-    the transposed derivative at that point to ``v``.
+    the transposed derivative at that point to ``v``.  ``matvec(v)`` is
+    the linear part applied to a direction, and ``residual(Ax)`` the
+    residual of a linearisation: ``eval(x)`` is ``(residual(Ax), Ax)``
+    with ``Ax = matvec(x)``.
     """
 
     in_dim: int
     out_dim: int
     eval: Callable
     jt_vec: Callable
+    matvec: Callable
+    residual: Callable
 
 
 def _measurements(A, b):
@@ -60,25 +68,34 @@ def _vector(name, u, size):
 
 def rpr_map(A, b):
     """The quadratic residual map ``S(x) = (Ax) ⊙ (Ax) - b`` for
-    measurements ``(A, b)``: ``eval(x)`` returns ``(S(x), Ax)`` and
-    ``jt_vec(Ax, v) = 2 A^T ((Ax) ⊙ v)``.
+    measurements ``(A, b)``: ``eval(x)`` returns ``(S(x), Ax)``,
+    ``jt_vec(Ax, v) = 2 A^T ((Ax) ⊙ v)``, ``matvec(v) = A v`` and
+    ``residual(Ax) = (Ax) ⊙ (Ax) - b``.
 
     ``A`` and ``b`` are converted and checked here, once, by
     :func:`_measurements`.  Each call checks only the shapes of its
-    vectors (``x``; ``Ax`` and ``v``) with :func:`_vector`.
+    vectors (``x``; ``Ax`` and ``v``; ``v``; ``Ax``) with :func:`_vector`.
     """
     A, b = _measurements(A, b)
     n, d = A.shape
 
-    def eval_(x):
-        Ax = A @ _vector("x", x, d)
+    def residual(Ax):
+        Ax = _vector("Ax", Ax, n)
         z = Ax * Ax
         z -= b
-        return z, Ax
+        return z
+
+    def matvec(v):
+        return A @ _vector("v", v, d)
+
+    def eval_(x):
+        Ax = A @ _vector("x", x, d)
+        return residual(Ax), Ax
 
     def jt_vec(Ax, v):
         g = A.T @ (_vector("Ax", Ax, n) * _vector("v", v, n))
         g *= 2.0
         return g
 
-    return SmoothMap(in_dim=d, out_dim=n, eval=eval_, jt_vec=jt_vec)
+    return SmoothMap(in_dim=d, out_dim=n, eval=eval_, jt_vec=jt_vec, matvec=matvec,
+                     residual=residual)

@@ -137,7 +137,7 @@ def topk_value(z, K):
         raise ValueError(f"K must be in [0, {n}], got {K}")
     if K == 0:
         return 0.0
-    a = np.abs(z)
+    a = np.abs(z.ravel())  # a vector for a 0-d z too
     a.partition(n - K)
     return float(np.add.reduce(a[n - K:]))
 

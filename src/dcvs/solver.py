@@ -104,9 +104,12 @@ class RunRecord:
     budget ran out.
 
     The record determines the iterates: from ``x1``, step ``k`` moves
-    ``x`` to ``x - gammas[k] * grad F_k(x)`` with ``F_k`` at ``mus[k]``, so
-    no copy of them is kept.  ``tests/helpers.replay_iterates`` rebuilds
-    them bit for bit.
+    ``x`` to ``x - gammas[k] * grad F_k`` with ``F_k`` at ``mus[k]``, so
+    no copy of them is kept.  The gradient is taken at the carried
+    linearisation: ``Ax`` starts as ``A @ x1`` and moves with each step to
+    ``Ax - gammas[k] * (A @ grad F_k)``, which differs from ``A @ x`` by
+    roundoff only.  ``tests/helpers.replay_iterates`` rebuilds both bit
+    for bit.
     """
 
     x_final: np.ndarray
@@ -199,9 +202,13 @@ def solve(loss, smooth_map, x1, config=None):
     whose squares overflow included), or when a line search exceeds
     :data:`MAX_BACKTRACKS` shrinkages.
 
-    The map is evaluated once at ``x1`` and once per line-search trial:
-    the accepted trial is the next iterate, so its point, residual and
-    linearisation are carried over bit for bit instead of recomputed.
+    The map is evaluated once, at ``x1``.  Each step forms ``A·grad``
+    once; a line-search trial at ``x - gamma*grad`` then takes its
+    linearisation as ``Ax - gamma*(A·grad)`` and its residual from that,
+    with no matvec.  The accepted trial's residual and linearisation
+    carry over to the next iterate, so every gradient after the first is
+    taken at the carried ``Ax``, which differs from ``A @ x`` by roundoff
+    only.  A step costs two matvecs: ``jt_vec`` and ``A·grad``.
     """
     cfg = config if config is not None else SolverConfig()
     x = np.asarray(x1, dtype=float).copy()
@@ -219,11 +226,11 @@ def solve(loss, smooth_map, x1, config=None):
     termination = None
 
     def eval_ray(gamma):
-        # the one place a trial point is formed; x, grad and mu are the
-        # current step's when backtrack calls this
-        y = x - gamma * grad
-        z_y, Ax_y = smooth_map.eval(y)
-        return surrogate_at_residual(loss, z_y, mu, grad=False), (y, z_y, Ax_y)
+        # the one place a trial is formed, from the linearisation along the
+        # ray; Ax, Ag and mu are the current step's when backtrack calls this
+        Ax_y = Ax - gamma * Ag
+        z_y = smooth_map.residual(Ax_y)
+        return surrogate_at_residual(loss, z_y, mu, grad=False), (z_y, Ax_y)
 
     # one residual serves the surrogate, the gradient and the true cost
     z, Ax = smooth_map.eval(x)
@@ -260,8 +267,10 @@ def solve(loss, smooth_map, x1, config=None):
                 termination = "stationary"
                 break
 
+            Ag = smooth_map.matvec(grad)
             ginit = gammas[-1] if gammas else max(1.0, 1.0 / gn)
-            gamma, nbt, (x, z, Ax) = backtrack(eval_ray, Fk, g2, ginit, cfg.rho, cfg.c)
+            gamma, nbt, (z, Ax) = backtrack(eval_ray, Fk, g2, ginit, cfg.rho, cfg.c)
+            x = x - gamma * grad
             gammas.append(gamma)
             gamma_inits.append(ginit)
             backtracks.append(nbt)

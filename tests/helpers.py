@@ -7,7 +7,7 @@ import csv
 
 import numpy as np
 
-from dcvs import generate_instance, make_loss, rpr_map, surrogate_oracle
+from dcvs import generate_instance, make_loss, rpr_map, surrogate_at_residual
 from dcvs.bench import TIMING_COLUMNS
 from dcvs.retrieval import SPECTRAL_CAP_MULTIPLE, _spectral_form
 from dcvs.prox import (
@@ -55,20 +55,25 @@ def small_instance(seed, d=20, n=100, p_fail=0.25, s=1.0):
 
 
 def replay_iterates(loss, smooth_map, x1, record):
-    """The iterates of the solve from ``x1`` that wrote ``record``, as an
-    array of shape ``(record.iterations + 1, d)``: ``x1``, then
-    ``x - gamma_k * grad F_k(x)`` for each recorded step, the gradient
-    from :func:`dcvs.surrogate_oracle` at ``mus[k]`` and the step formed
-    by the same expression as ``solve``'s line search.  Asserts that the
-    last point is ``record.x_final`` bit for bit, so a replay that left
-    the solver's path fails here."""
+    """The iterates of the solve from ``x1`` that wrote ``record`` and the
+    linearisations it carried, as arrays of shapes ``(record.iterations +
+    1, d)`` and ``(record.iterations + 1, n)``: ``x1`` and ``A @ x1``, then
+    ``x - gamma_k * grad`` and ``Ax - gamma_k * (A @ grad)`` for each
+    recorded step, with ``grad`` the gradient of ``F_k`` at ``mus[k]``
+    taken at the carried ``Ax``, by the same expressions as ``solve``.
+    Asserts that the last point is ``record.x_final`` bit for bit, so a
+    replay that left the solver's path fails here."""
     x = np.asarray(x1, dtype=float)
-    points = [x]
+    Ax = smooth_map.eval(x)[1]
+    points, linearisations = [x], [Ax]
     for mu, gamma in zip(record.mus, record.gammas):
-        x = x - gamma * surrogate_oracle(loss, smooth_map, x, mu)[1]
+        zgrad = surrogate_at_residual(loss, smooth_map.residual(Ax), mu)[1]
+        grad = smooth_map.jt_vec(Ax, zgrad)
+        x, Ax = x - gamma * grad, Ax - gamma * smooth_map.matvec(grad)
         points.append(x)
+        linearisations.append(Ax)
     assert x.tobytes() == record.x_final.tobytes(), "the replay left the solver's path"
-    return np.asarray(points)
+    return np.asarray(points), np.asarray(linearisations)
 
 
 def sweep_cells(path):

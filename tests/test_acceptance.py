@@ -199,7 +199,7 @@ def test_criterion_4_per_iteration_inequalities():
         kap = kappa_fn_for_loss(inst.A, inst.b, loss)
         x1 = spectral_init(inst.A, inst.b, 4000 + run_idx)
         rec = solve(loss, m, x1, cfg)
-        xs = replay_iterates(loss, m, x1, rec)
+        xs, _ = replay_iterates(loss, m, x1, rec)
         runs += 1
         c, rho = cfg.c, cfg.rho
         for i in range(rec.iterations):

@@ -20,6 +20,22 @@ def test_rpr_eval_examples():
     assert np.array_equal(z, Ax * Ax - b)
 
 
+def test_rpr_ray_primitives():
+    # eval is residual o matvec, bit for bit; along a ray x - gamma*v the
+    # linearisation Ax - gamma*Av gives the residual eval computes there,
+    # up to the roundoff of the two ways of forming it
+    rng = np.random.default_rng(3)
+    A, b = rng.standard_normal((40, 6)), rng.uniform(0.0, 5.0, 40)
+    m = rpr_map(A, b)
+    x, v = rng.standard_normal(6), rng.standard_normal(6)
+    z, Ax = m.eval(x)
+    assert np.array_equal(Ax, m.matvec(x)) and np.array_equal(z, m.residual(Ax))
+    Av = m.matvec(v)
+    for gamma in (1.0, 0.37, 1e-3):
+        z_ray = m.residual(Ax - gamma * Av)
+        assert np.allclose(z_ray, m.eval(x - gamma * v)[0], rtol=1e-13, atol=1e-13)
+
+
 def test_rpr_eval_shape_errors():
     with pytest.raises(ValueError):
         rpr_map(np.ones(2), np.zeros(1))  # A must be a matrix
@@ -38,11 +54,15 @@ def test_rpr_eval_shape_errors():
     for bad_x in (np.zeros(3), np.zeros((2, 1))):
         with pytest.raises(ValueError):
             m.eval(bad_x)
+        with pytest.raises(ValueError, match="^v must have shape"):
+            m.matvec(bad_x)
     for bad in (np.ones(2), np.ones(4), np.ones(1), np.ones((3, 1))):
         with pytest.raises(ValueError):
             m.jt_vec(bad, np.ones(3))
         with pytest.raises(ValueError):
             m.jt_vec(np.ones(3), bad)
+        with pytest.raises(ValueError, match="^Ax must have shape"):
+            m.residual(bad)
 
 
 def test_rpr_jt_vec_examples():

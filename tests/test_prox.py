@@ -112,6 +112,10 @@ def test_prox_topk_values():
     assert np.allclose(prox.prox_topk([3.0, 1.0], 1, 1.0), [2.0, 1.0], atol=1e-12)
     # K = n is elementwise soft thresholding
     assert np.allclose(prox.prox_topk([3.0, 1.0], 2, 1.0), [2.0, 0.0], atol=1e-12)
+    # a 0-d z is one residual: the prox soft-thresholds it and the norm is |z|
+    assert prox.prox_topk(2.0, 1, 0.5) == 1.5
+    assert prox.topk_value(2.0, 1) == 2.0 and prox.topk_value(-3.0, 1) == 3.0
+    assert prox.topk_value(np.float64(-3.0), 0) == 0.0
 
 
 def test_prox_topk_sign_and_order():

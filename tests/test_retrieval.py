@@ -1,9 +1,5 @@
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,26 +122,14 @@ def test_spectral_init_validation():
 # spectral forms of one row block (d < 192), two, three and four
 SPECTRAL_FORM_SHAPES = [(30, 240), (100, 1000), (129, 645), (200, 1000), (256, 1280),
                         (300, 1500), (400, 2000)]
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def test_spectral_form_blocks_keep_the_single_product_bits():
     # OpenBLAS's bits depend on its thread count, the single product's
     # included, so the row blocks promise that product's bits on one
-    # thread, as tools/record_hash.py and the benchmark run; a fresh
-    # interpreter pins it before numpy loads
-    root = Path(__file__).resolve().parent.parent
-    env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"),
-           "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
-    code = ("from helpers import spectral_form_mismatches as m; "
-            f"print(m({SPECTRAL_FORM_SHAPES!r}))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-    # one block is the single product itself, on any thread count
-    assert spectral_form_mismatches([(d, n) for d, n in SPECTRAL_FORM_SHAPES if d < 192]) == []
+    # thread, the one tests/conftest.py pins, as tools/record_hash.py and
+    # the benchmark do
+    assert spectral_form_mismatches(SPECTRAL_FORM_SHAPES) == []
 
 
 def test_spectral_init_peak_memory():

@@ -18,6 +18,7 @@ from dcvs import (
     surrogate_oracle,
 )
 import dcvs.solver
+from dcvs.bench import seeded_problem
 from dcvs.solver import SolverError, write_csv, write_trace
 
 
@@ -150,7 +151,7 @@ def test_solve_exact_start_terminates_immediately():
     assert np.allclose(rec.x_final, inst.x_star)
     assert rec.grad_norms[0] == 0.0
     # a run with no step has one iterate, the start
-    xs = replay_iterates(loss, m, inst.x_star, rec)
+    xs, _ = replay_iterates(loss, m, inst.x_star, rec)
     assert xs.shape == (1, 6)
     assert np.array_equal(xs[0], inst.x_star)
 
@@ -189,7 +190,7 @@ def test_solve_armijo_holds_post_hoc():
     cfg = SolverConfig(max_iters=200, time_cap_seconds=None)
     x1 = spectral_init(inst.A, inst.b, 4)
     rec = solve(loss, m, x1, cfg)
-    xs = replay_iterates(loss, m, x1, rec)
+    xs, _ = replay_iterates(loss, m, x1, rec)
     c = cfg.c
     for i in range(rec.iterations):
         lhs = surrogate_at_residual(loss, m.eval(xs[i + 1])[0], rec.mus[i], grad=False)
@@ -202,26 +203,36 @@ def test_solve_armijo_holds_post_hoc():
 
 def test_solve_reused_residuals_are_exact():
     # solve evaluates the map once at x1 and then carries the accepted
-    # line-search trial over; every recorded value must equal, bit for bit,
-    # a from-scratch evaluation at the replayed iterate
+    # line-search trial's linearisation over; every recorded value must
+    # equal, bit for bit, the one at the replayed linearisation.  Its
+    # residual is that of the replayed iterate up to roundoff: per entry,
+    # the carry's i roundings of Ax - gamma*Ag (eps/2 each), the fresh
+    # product's d-term sum (d*eps), doubled by the square, and one rounding
+    # of the subtraction, on the scale (|A||x|)^2 + |b| (measured: <= 4.9 eps)
     inst, m = small_instance(seed=12, d=10, n=50)
     cfg = SolverConfig(max_iters=60, time_cap_seconds=None)
     x1 = spectral_init(inst.A, inst.b, 12)
+    eps, d = np.finfo(float).eps, inst.A.shape[1]
     for loss in catalog_losses(50):
         rec = solve(loss, m, x1, cfg)
         assert rec.iterations > 0
-        xs = replay_iterates(loss, m, x1, rec)
+        xs, Axs = replay_iterates(loss, m, x1, rec)
         for i in range(rec.mus.size):
-            z, mu = m.eval(xs[i])[0], rec.mus[i]
+            z, mu = m.residual(Axs[i]), rec.mus[i]
             assert rec.surrogate_values[i] == surrogate_at_residual(loss, z, mu, grad=False)
             assert rec.cost_values[i] == loss.phi_value(z)
+            scale = (np.abs(inst.A) @ np.abs(xs[i])) ** 2 + np.abs(inst.b)
+            distance = np.abs(z - m.eval(xs[i])[0])
+            assert np.all(distance <= (i + 2 * d + 1) * eps * scale), (loss.name, i)
 
 
 def test_solve_map_call_counts():
-    # one residual at x1 and one per line-search trial, the accepted trial
-    # seeding the next iterate; one transposed product per evaluated iterate
+    # one evaluation at x1; per step one transposed product, one product
+    # A @ grad, and one residual per line-search trial, formed from the
+    # carried linearisation with no matvec; the accepted trial seeds the
+    # next iterate
     inst, m = small_instance(seed=5, d=10, n=50)
-    calls = {"eval": 0, "jt_vec": 0}
+    calls = dict.fromkeys(("eval", "jt_vec", "matvec", "residual"), 0)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -229,17 +240,38 @@ def test_solve_map_call_counts():
             return fn(*args)
         return wrapper
 
-    counting = dataclasses.replace(
-        m, eval=counted("eval", m.eval), jt_vec=counted("jt_vec", m.jt_vec)
-    )
+    counting = dataclasses.replace(m, **{name: counted(name, getattr(m, name)) for name in calls})
     cfg = SolverConfig(max_iters=200, time_cap_seconds=None)
     rec = solve(make_loss("trimmed_l1", 50, K=12), counting,
                 spectral_init(inst.A, inst.b, 5), cfg)
     assert rec.backtrack_counts.sum() > 0
-    assert calls["jt_vec"] == rec.mus.size
-    assert calls["eval"] == 1 + int(np.sum(rec.backtrack_counts + 1))
+    assert calls == {"eval": 1, "jt_vec": rec.mus.size, "matvec": rec.iterations,
+                     "residual": int(np.sum(rec.backtrack_counts + 1))}
 
 
+def test_solve_carried_linearisation_drift_is_bounded():
+    # a 10,000-step solve of the solve-d100 benchmark's seed-0 trimmed_l1
+    # problem, never stopped by rel_tol: the carried Ax at x_final against
+    # A @ x_final.  Each step rounds every entry of Ax - gamma*Ag once, by
+    # at most eps/2 of it, so 10,000 steps that all rounded one way would
+    # drift by 10^4 * eps/2 = 1.1e-12 of max |Ax|; this solve measures
+    # 1.3e-13 (one BLAS thread), as the tail's tiny steps round with a
+    # bias.  The bound is that worst case, 8x above the measured drift.
+    _, x1, m = seeded_problem(100, 1000, 0.4, 1.0, "cauchy", 1e-6, 0)
+    carried = []
+
+    def keep_last(Ax):
+        carried[:] = [Ax]
+        return m.residual(Ax)
+
+    cfg = SolverConfig(rel_tol=0.0, max_iters=10_000, time_cap_seconds=None)
+    rec = solve(make_loss("trimmed_l1", 1000, K=400), dataclasses.replace(m, residual=keep_last),
+                x1, cfg)
+    assert rec.termination == "max_iters" and rec.iterations == 10_000
+    # the last trial formed is the accepted one of the last step
+    fresh = m.eval(rec.x_final)[1]
+    drift = np.abs(carried[0] - fresh).max() / np.abs(fresh).max()
+    assert drift <= 10_000 * np.finfo(float).eps / 2
 def test_solve_gradient_decay_on_clean_instance():
     inst = generate_instance(15, 90, 0.0, 1.0, noise_variance=0.0, seed=6)
     m = rpr_map(inst.A, inst.b)
@@ -319,20 +351,23 @@ def test_solve_rejects_finite_gradient_whose_square_sum_overflows():
 
 def test_solve_steps_past_trials_whose_residual_overflows():
     # trials beyond 1.5 ||x1|| get an infinite residual, so their surrogate
-    # is not finite; the line search must shrink past them, not accept one
+    # is not finite; the line search must shrink past them, not accept one.
+    # A trial is formed as a linearisation Ax_y, so its point is recovered
+    # as pinv(A) @ Ax_y
     inst = generate_instance(5, 25, 0.2, 1.0, seed=10)
     m = rpr_map(inst.A, inst.b)
     x1 = spectral_init(inst.A, inst.b, 10)
     radius = 1.5 * np.linalg.norm(x1)
+    pinv = np.linalg.pinv(inst.A)
 
-    def capped_eval(x):
-        z, Ax = m.eval(x)
-        if np.linalg.norm(x) > radius:
+    def capped_residual(Ax):
+        z = m.residual(Ax)
+        if np.linalg.norm(pinv @ Ax) > radius:
             z = np.full_like(z, np.inf)
-        return z, Ax
+        return z
 
     with np.errstate(invalid="ignore"):
-        rec = solve(make_loss("l1", 25), dataclasses.replace(m, eval=capped_eval), x1,
+        rec = solve(make_loss("l1", 25), dataclasses.replace(m, residual=capped_residual), x1,
                     SolverConfig(time_cap_seconds=None))
     assert rec.iterations >= 1
     assert np.all(np.isfinite(rec.surrogate_values))
@@ -423,6 +458,7 @@ def test_mirrored_trajectory_from_negated_start():
     rec_pos = solve(loss, m, x1, cfg)
     rec_neg = solve(loss, m, -x1, cfg)
     assert rec_pos.termination == rec_neg.termination
-    assert np.array_equal(replay_iterates(loss, m, x1, rec_pos),
-                          -replay_iterates(loss, m, -x1, rec_neg))
+    for pos, neg in zip(replay_iterates(loss, m, x1, rec_pos),
+                        replay_iterates(loss, m, -x1, rec_neg)):
+        assert np.array_equal(pos, -neg)
     assert np.array_equal(rec_pos.gammas, rec_neg.gammas)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOLS = ROOT / "tools"
+LOSSES = ("l1", "mcp", "capped_l1", "trimmed_l1")
 
 
 def run_tool(name, *args, cwd):
@@ -52,3 +53,44 @@ def test_code_lines_prints_a_total(tmp_path):
     count, label = lines[-1].split()
     assert label == "total" and int(count) > 0
     assert len(lines) == 1 + len(list((ROOT / "src" / "dcvs").rglob("*.py")))
+
+
+def test_yardstick_block_prints_a_band(tmp_path):
+    lines = run_tool("yardstick.py", "--d", 8, "--n", 40, "--seeds", 1, "--starts", 2,
+                     cwd=tmp_path)
+    assert lines[0] == "d=8 n=40 p_fail=0.4 seeds 0-0, shipped start and 2 one-ulp starts"
+    assert lines[1].split() == ["loss", "start", "successes", "iterations", "roundoff",
+                                "floor", "rel_tol", "stationary", "max_iters", "time_cap"]
+    rows = [line.split() for line in lines[2:]]
+    assert [row[:2] for row in rows] == [[loss, start] for loss in LOSSES
+                                         for start in ("shipped", "band")]
+    for shipped, band in zip(rows[::2], rows[1::2]):
+        # one solve per loss and start: its termination counts sum to 1
+        assert sum(int(cell) for cell in shipped[6:]) == 1
+        for cell in band[2:]:
+            low, high = map(int, re.fullmatch(r"(\d+)-(\d+)", cell).groups())
+            assert low <= high
+
+
+def test_yardstick_sweep_counts_flips(tmp_path):
+    config = tmp_path / "toy.json"
+    config.write_text(json.dumps({
+        "d": 8, "n_over_d": [5], "p_fail": [0.1], "trials": 3, "base_seed": 3,
+        "losses": [{"name": "l1"}, {"name": "capped_l1", "beta": 10}],
+        "solver": {"max_iters": 300},
+    }), encoding="utf-8")
+    shipped = run_tool("yardstick.py", "--sweep", config, "--out", tmp_path / "shipped",
+                       cwd=tmp_path)
+    assert shipped[0] == "sweep toy.json, time cap off, start shipped"
+    assert (tmp_path / "shipped" / "trials.csv").is_file()
+    again = run_tool("yardstick.py", "--sweep", config, "--workers", 1, "--compare",
+                     tmp_path / "shipped" / "trials.csv", cwd=tmp_path)
+    # the same start at another worker count flips nothing
+    assert again[1:] and [line.split(", seconds")[0] for line in again[1:]] == \
+        [line.split(", seconds")[0] for line in shipped[1:]]
+    assert all(line.endswith(", flips +0/-0") for line in again[1:])
+    moved = run_tool("yardstick.py", "--sweep", config, "--start", 0, "--compare",
+                     tmp_path / "shipped" / "trials.csv", cwd=tmp_path)
+    assert moved[0] == "sweep toy.json, time cap off, start 0"
+    assert [line.split(":")[0] for line in moved[1:]] == ["l1", "capped_l1_beta10"]
+    assert all(re.search(r", flips \+\d+/-\d+$", line) for line in moved[1:])

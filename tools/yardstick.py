@@ -1,0 +1,195 @@
+"""Measure a block of seeded solves against its own roundoff noise: the
+band that one-ulp changes of the start give, per loss.
+
+    python3 tools/yardstick.py                      # d=100, n=1000, seeds 0-31, 8 starts
+    python3 tools/yardstick.py --starts 8 --d 400 --n 4000 --seeds 4
+    python3 tools/yardstick.py --sweep configs/grid5_d100.json --start 0 --out DIR
+    python3 tools/yardstick.py --sweep CONFIG --out DIR --compare OTHER/trials.csv
+
+The block is the one ``tools/record_hash.py`` hashes: each instance of
+``bench.seeded_problem(d, n, p_fail, 1.0, "cauchy", 1e-6, seed)``, solved
+from its spectral start with ``l1``, ``mcp`` (lambda=1, beta=1000),
+``capped_l1`` (beta=1000) and ``trimmed_l1`` (K=round(0.4*n)) under
+``SolverConfig(time_cap_seconds=None)``.  It is solved from the shipped
+start and from ``--starts M`` perturbed ones.  Start ``j`` (0..M-1) moves
+entry ``i`` of the spectral start one ulp up where
+``default_rng([j, seed]).integers(0, 2, d)[i] == 1``, and one ulp down
+otherwise.  Per loss it prints, at the shipped start and then as min-max
+over the M starts:
+
+* successes (relative error below 1e-3, up to sign);
+* the iteration total;
+* roundoff-limited steps: ``c*gamma*||grad||^2 < eps*|F_k|``, an Armijo
+  decrease below the rounding of the surrogate it is compared against;
+* floor violations: steps whose gamma is below the stepsize floor
+  ``min(gamma_init, 2(1-c)rho/kappa(mu))`` of acceptance criterion 4,
+  with kappa from ``kappa_fn_for_loss``;
+* the count of each termination.
+
+A figure of a numerical change is an effect only where the bands of the
+two trees do not overlap.
+
+``--sweep CONFIG`` runs a sweep config instead, with the time cap off, at
+``--workers`` (default 2; the rows do not depend on it), from the shipped
+start or, with ``--start J``, from perturbed start ``J``, drawn as above
+with the trial's seed.  Per loss label it prints successes, terminations, error
+rows and summed solve seconds.  ``--out DIR`` keeps the written CSVs;
+``--compare TRIALS`` prints, per loss label, the success flips against a
+``trials.csv`` an earlier run wrote (``+`` now succeeds, ``-`` now fails).
+
+It takes the block's losses from ``record_hash.py`` beside it, whose
+import pins BLAS to one thread before numpy loads and puts the ``src``
+directory of the checkout it sits in on the path, so a copy of both
+files in another checkout measures that checkout.
+"""
+
+import argparse
+import csv
+import json
+import multiprocessing
+import sys
+import tempfile
+from collections import Counter
+from functools import lru_cache
+from pathlib import Path
+
+from record_hash import losses  # first: it pins BLAS and finds src before numpy loads
+
+import numpy as np
+
+import dcvs.bench
+from dcvs import SolverConfig, kappa_fn_for_loss, solve, success
+from dcvs.bench import emit_outputs, run_sweep, seeded_problem, sweep_config_from_dict
+
+TERMINATIONS = ("rel_tol", "stationary", "max_iters", "time_cap")
+COUNTS = ("successes", "iterations", "roundoff", "floor")
+
+
+def perturbed(x1, start, seed):
+    """Start ``start`` of the spectral point ``x1`` of instance ``seed``:
+    ``x1`` itself for None, else every entry one ulp up or down."""
+    if start is None:
+        return x1
+    up = np.random.default_rng([start, seed]).integers(0, 2, x1.size) == 1
+    return np.where(up, np.nextafter(x1, np.inf), np.nextafter(x1, -np.inf))
+
+
+def step_counts(record, kappa, config):
+    """``(roundoff-limited steps, floor violations)`` of one record."""
+    k = record.iterations
+    gammas, values = record.gammas, record.surrogate_values[:k]
+    decrease = config.c * gammas * record.grad_norms[:k] ** 2
+    roundoff = int(np.sum(decrease < np.finfo(float).eps * np.abs(values)))
+    floors = np.minimum(record.gamma_inits, [2.0 * (1.0 - config.c) * config.rho / kappa(mu)
+                                             for mu in record.mus[:k]])
+    return roundoff, int(np.sum(gammas < floors * (1.0 - 1e-12)))
+
+
+def block_counts(problems, catalog, config, start):
+    """Per loss, ``COUNTS`` and the termination counts of one start."""
+    table = {name: Counter() for name in catalog}
+    for seed, (inst, x1, smooth_map, kappas) in enumerate(problems):
+        x = perturbed(x1, start, seed)
+        for name, loss in catalog.items():
+            record = solve(loss, smooth_map, x, config)
+            roundoff, floor = step_counts(record, kappas[name], config)
+            table[name].update(successes=int(success(record.x_final, inst.x_star)[1]),
+                               iterations=record.iterations, roundoff=roundoff, floor=floor)
+            table[name][record.termination] += 1
+    return table
+
+
+def check_block(args):
+    config = SolverConfig(time_cap_seconds=None)
+    catalog = losses(args.n)
+    problems = []
+    for seed in range(args.seeds):
+        inst, x1, smooth_map = seeded_problem(args.d, args.n, args.p_fail, 1.0, "cauchy",
+                                              1e-6, seed)
+        # each kappa(mu) reads all of A, and step k has the same mu in every
+        # solve, so one value per instance, loss and step serves all starts
+        kappas = {name: lru_cache(maxsize=None)(kappa_fn_for_loss(inst.A, inst.b, loss))
+                  for name, loss in catalog.items()}
+        problems.append((inst, x1, smooth_map, kappas))
+    shipped = block_counts(problems, catalog, config, None)
+    band = [block_counts(problems, catalog, config, j) for j in range(args.starts)]
+    print(f"d={args.d} n={args.n} p_fail={args.p_fail} seeds 0-{args.seeds - 1}, "
+          f"shipped start and {args.starts} one-ulp starts")
+    print(f"{'loss':12s} {'start':8s}" + "".join(f" {c:>13s}" for c in COUNTS + TERMINATIONS))
+    for name in catalog:
+        print(f"{name:12s} {'shipped':8s}"
+              + "".join(f" {shipped[name][c]:13d}" for c in COUNTS + TERMINATIONS))
+        if band:
+            cells = [[counts[name][c] for counts in band] for c in COUNTS + TERMINATIONS]
+            print(f"{name:12s} {'band':8s}" + "".join(f" {f'{min(v)}-{max(v)}':>13s}"
+                                                       for v in cells))
+    return 0
+
+
+def read_trials(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def check_sweep(args):
+    with open(args.sweep, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["solver"] = {**raw.get("solver", {}), "time_cap_seconds": None}
+    shipped_init = dcvs.bench.spectral_init
+    # seeded_problem looks spectral_init up at call time; forked pool
+    # workers inherit the rebinding (main refuses other start methods)
+    dcvs.bench.spectral_init = lambda A, b, seed: perturbed(shipped_init(A, b, seed),
+                                                            args.start, seed)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            out = args.out or tmp
+            emit_outputs(run_sweep(sweep_config_from_dict(raw), workers=args.workers), out)
+            rows = read_trials(Path(out) / "trials.csv")
+    finally:
+        dcvs.bench.spectral_init = shipped_init
+    start = "shipped" if args.start is None else args.start
+    print(f"sweep {Path(args.sweep).name}, time cap off, start {start}")
+    # a trial row is keyed by its cell, its loss label and its trial index
+    def key(row):
+        return row["n"], row["p_fail"], row["s"], row["loss"], row["trial"]
+
+    before = {key(row): row["success"] for row in read_trials(args.compare)} if args.compare else {}
+    for label in dict.fromkeys(row["loss"] for row in rows):
+        mine = [row for row in rows if row["loss"] == label]
+        ends = Counter(row["termination"] for row in mine if not row["error"])
+        line = (f"{label}: successes {sum(row['success'] == '1' for row in mine)}/{len(mine)}"
+                f", errors {sum(bool(row['error']) for row in mine)}"
+                f", {dict(sorted(ends.items()))}"
+                f", seconds {sum(float(row['seconds']) for row in mine):.1f}")
+        if before:
+            was = [before[key(row)] for row in mine]
+            gained = sum(w == "0" and row["success"] == "1" for w, row in zip(was, mine))
+            lost = sum(w == "1" and row["success"] == "0" for w, row in zip(was, mine))
+            line += f", flips +{gained}/-{lost}"
+        print(line)
+    return 0
+
+
+def main(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--d", type=int, default=100)
+    parser.add_argument("--n", type=int, default=1000)
+    parser.add_argument("--p-fail", type=float, default=0.4)
+    parser.add_argument("--seeds", type=int, default=32)
+    parser.add_argument("--starts", type=int, default=8)
+    parser.add_argument("--sweep", metavar="CONFIG", help="run a sweep config instead")
+    parser.add_argument("--start", type=int, help="the sweep's perturbed start (default: shipped)")
+    parser.add_argument("--workers", type=int, default=2)
+    parser.add_argument("--out", help="directory for the sweep's CSVs")
+    parser.add_argument("--compare", metavar="TRIALS", help="an earlier trials.csv")
+    args = parser.parse_args(argv)
+    if args.starts < 0 or (args.start is not None and args.start < 0):
+        parser.error("--starts and --start must be nonnegative")
+    if (args.start is not None and args.workers > 1
+            and multiprocessing.get_start_method() != "fork"):
+        parser.error("--start reaches pool workers only when they fork; use --workers 1")
+    return check_sweep(args) if args.sweep else check_block(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
