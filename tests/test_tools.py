@@ -89,8 +89,9 @@ def test_yardstick_sweep_counts_flips(tmp_path):
     assert again[1:] and [line.split(", seconds")[0] for line in again[1:]] == \
         [line.split(", seconds")[0] for line in shipped[1:]]
     assert all(line.endswith(", flips +0/-0") for line in again[1:])
-    moved = run_tool("yardstick.py", "--sweep", config, "--start", 0, "--compare",
-                     tmp_path / "shipped" / "trials.csv", cwd=tmp_path)
+    # one worker: a perturbed start reaches pool workers only where they fork
+    moved = run_tool("yardstick.py", "--sweep", config, "--start", 0, "--workers", 1,
+                     "--compare", tmp_path / "shipped" / "trials.csv", cwd=tmp_path)
     assert moved[0] == "sweep toy.json, time cap off, start 0"
     assert [line.split(":")[0] for line in moved[1:]] == ["l1", "capped_l1_beta10"]
     assert all(re.search(r", flips \+\d+/-\d+$", line) for line in moved[1:])
