@@ -211,23 +211,29 @@ def kappa_mu(A, b, lam, L_g, mu):
     trajectories do exceed that smaller value on Gaussian instances.
     ``lam`` is the MCP weight and is 1 for the other losses.
     """
-    if not mu > 0:
-        raise ValueError("mu must be positive")
+    return _kappa_fn(A, b, lam, L_g)(mu)
+
+
+def _kappa_fn(A, b, lam, L_g):
+    """``mu -> kappa_mu(A, b, lam, L_g, mu)``, with the mu-free terms read
+    from ``A`` once: the closure returns ``head + tail / mu``."""
     if not lam > 0:
         raise ValueError("lam must be positive")
     if not L_g >= 0:
         raise ValueError("L_g must be nonnegative")
     A, b = _measurements(A, b)
     row_sq = np.sum(A * A, axis=1)
-    return (
-        2.0 * L_g * float(np.sqrt(np.sum(row_sq**2)))
-        + 6.0 * lam * float(row_sq.sum())
-        + 4.0 * float((row_sq * np.abs(b)).sum()) / mu
-    )
+    head = 2.0 * L_g * float(np.sqrt(np.sum(row_sq**2))) + 6.0 * lam * float(row_sq.sum())
+    tail = 4.0 * float((row_sq * np.abs(b)).sum())
+
+    def kappa(mu):
+        if not mu > 0:
+            raise ValueError("mu must be positive")
+        return head + tail / mu
+
+    return kappa
 
 
 def kappa_fn_for_loss(A, b, loss):
     """Per-scale curvature bound ``mu -> kappa_mu`` for a catalog loss."""
-    lam = loss.params.get("lam", 1.0)
-    L_g = loss.L_g
-    return lambda mu: kappa_mu(A, b, lam, L_g, mu)
+    return _kappa_fn(A, b, loss.params.get("lam", 1.0), loss.L_g)

@@ -31,7 +31,8 @@ __all__ = (
 # Armijo shrinkages per step before a solve gives up loudly.
 MAX_BACKTRACKS = 200
 
-TRACE_COLUMNS = ("k", "mu", "F_k", "grad_norm", "gamma", "backtracks", "true_cost")
+TRACE_COLUMNS = ("k", "mu", "F_k", "grad_norm", "gamma", "backtracks", "true_cost",
+                 "roundoff")
 
 
 class SolverError(RuntimeError):
@@ -97,6 +98,9 @@ class RunRecord:
     a step was taken.  The per-step arrays (``gammas``, ``gamma_inits``,
     ``backtrack_counts``) cover the gradient steps actually performed,
     so they are one shorter when the run ends on the stopping test.
+    ``roundoff_limited`` is per step too: True where the Armijo decrease
+    ``c*gamma*grad_norm**2`` is below ``eps*|F_k|``, the rounding error of
+    the surrogate value it is compared against.
 
     ``termination`` is ``rel_tol`` when the relative change of the true
     cost fell below ``rel_tol``, ``stationary`` when the surrogate
@@ -120,6 +124,7 @@ class RunRecord:
     gammas: np.ndarray
     gamma_inits: np.ndarray
     backtrack_counts: np.ndarray
+    roundoff_limited: np.ndarray
     termination: str  # rel_tol | stationary | max_iters | time_cap
     wall_seconds: float
 
@@ -127,6 +132,11 @@ class RunRecord:
     def iterations(self):
         """Number of gradient steps performed."""
         return int(self.gammas.size)
+
+    @property
+    def roundoff_limited_steps(self):
+        """Number of steps whose Armijo decrease is below roundoff."""
+        return int(np.count_nonzero(self.roundoff_limited))
 
 
 def mu_schedule(k, eta, alpha):
@@ -289,15 +299,19 @@ def solve(loss, smooth_map, x1, config=None):
         err.iteration, err.seconds = k, time.perf_counter() - t0
         raise
 
+    f_vals, grad_norms, gammas = np.asarray(f_vals), np.asarray(grad_norms), np.asarray(gammas)
+    steps = gammas.size
     return RunRecord(
         x_final=x,
         mus=np.asarray(mus),
-        surrogate_values=np.asarray(f_vals),
-        grad_norms=np.asarray(grad_norms),
+        surrogate_values=f_vals,
+        grad_norms=grad_norms,
         cost_values=np.asarray(costs),
-        gammas=np.asarray(gammas),
+        gammas=gammas,
         gamma_inits=np.asarray(gamma_inits),
         backtrack_counts=np.asarray(backtracks, dtype=int),
+        roundoff_limited=(cfg.c * gammas * grad_norms[:steps]**2
+                          < np.finfo(float).eps * np.abs(f_vals[:steps])),
         termination=termination,
         wall_seconds=time.perf_counter() - t0,
     )
@@ -325,7 +339,8 @@ def write_trace(record, path):
     """Dump the per-step trace as CSV.
 
     One row per completed gradient step with columns
-    ``k,mu,F_k,grad_norm,gamma,backtracks,true_cost``.  A terminal
+    ``k,mu,F_k,grad_norm,gamma,backtracks,true_cost,roundoff``, where
+    ``roundoff`` is 1 for a roundoff-limited step and 0 otherwise.  A terminal
     evaluation that only triggered the stopping test has no step and
     therefore no row; it remains available on the :class:`RunRecord`
     arrays.
@@ -333,4 +348,5 @@ def write_trace(record, path):
     # zip stops at the per-step length, before any terminal evaluation
     write_csv(path, TRACE_COLUMNS, zip(range(1, record.iterations + 1), record.mus,
                                        record.surrogate_values, record.grad_norms,
-                                       record.gammas, record.backtrack_counts, record.cost_values))
+                                       record.gammas, record.backtrack_counts, record.cost_values,
+                                       record.roundoff_limited.astype(int)))

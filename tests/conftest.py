@@ -1,4 +1,4 @@
-"""Tier-1 runs numpy's BLAS on one thread, as ``tools/record_hash.py`` and
+"""Tier-1 runs numpy's BLAS on one thread, as ``tools/yardstick.py`` and
 the benchmark do: OpenBLAS's products differ in their last bits between
 one and two threads, so an unpinned suite would check other trajectories
 than the tools, and its numbers would depend on the core count.  pytest

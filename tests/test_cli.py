@@ -27,7 +27,7 @@ def test_solve_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "rel_error=" in out
     header = trace_path.read_text(encoding="utf-8").split("\n", 1)[0]
-    assert header == "k,mu,F_k,grad_norm,gamma,backtracks,true_cost"
+    assert header == "k,mu,F_k,grad_norm,gamma,backtracks,true_cost,roundoff"
 
 
 def test_solve_trace_is_the_seeded_in_process_solve(tmp_path):

@@ -127,7 +127,7 @@ SPECTRAL_FORM_SHAPES = [(30, 240), (100, 1000), (129, 645), (200, 1000), (256, 1
 def test_spectral_form_blocks_keep_the_single_product_bits():
     # OpenBLAS's bits depend on its thread count, the single product's
     # included, so the row blocks promise that product's bits on one
-    # thread, the one tests/conftest.py pins, as tools/record_hash.py and
+    # thread, the one tests/conftest.py pins, as tools/yardstick.py and
     # the benchmark do
     assert spectral_form_mismatches(SPECTRAL_FORM_SHAPES) == []
 

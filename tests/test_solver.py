@@ -421,13 +421,34 @@ def test_write_trace_round_trip(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace(rec, path)
     body = path.read_text(encoding="utf-8").strip().split("\n")
-    assert body[0] == "k,mu,F_k,grad_norm,gamma,backtracks,true_cost"
+    assert body[0] == "k,mu,F_k,grad_norm,gamma,backtracks,true_cost,roundoff"
     assert len(body) == 1 + rec.iterations
     first = body[1].split(",")
     assert int(first[0]) == 1
     assert float(first[1]) == rec.mus[0]
     assert float(first[4]) == rec.gammas[0]
     assert float(first[6]) == rec.cost_values[0]
+
+
+def test_roundoff_limited_matches_a_recount(tmp_path):
+    # step by step in Python floats, as (c*gamma)*(gn*gn) against
+    # eps*|F_k|; the trace writes each flag as 0 or 1
+    inst, m = small_instance(seed=11, d=8, n=40)
+    cfg = SolverConfig(max_iters=300, time_cap_seconds=None)
+    eps = float(np.finfo(float).eps)
+    for loss in catalog_losses(40):
+        rec = solve(loss, m, spectral_init(inst.A, inst.b, 11), cfg)
+        recount = [cfg.c * float(gamma) * (float(gn) * float(gn)) < eps * abs(float(fk))
+                   for gamma, gn, fk in zip(rec.gammas, rec.grad_norms, rec.surrogate_values)]
+        assert rec.roundoff_limited.dtype == bool
+        assert rec.roundoff_limited.tolist() == recount
+        assert rec.roundoff_limited_steps == sum(recount)
+        write_trace(rec, tmp_path / "trace.csv")
+        with open(tmp_path / "trace.csv", encoding="utf-8", newline="") as fh:
+            assert [int(row["roundoff"]) for row in csv.DictReader(fh)] == recount
+    # the count of a record with known flags
+    flags = np.array([True, False, True])
+    assert dataclasses.replace(rec, roundoff_limited=flags).roundoff_limited_steps == 2
 
 
 def test_write_csv_round_trips_any_cell(tmp_path):

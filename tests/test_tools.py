@@ -1,5 +1,6 @@
 """The scripts in tools/ run to completion and print what their docstrings
-promise: each change's bit-identity check rests on record_hash.py."""
+promise: each change's bit-identity check and roundoff band rest on
+yardstick.py."""
 
 import json
 import re
@@ -19,33 +20,40 @@ def run_tool(name, *args, cwd):
     return proc.stdout.strip().split("\n")
 
 
-def test_record_hash_block_is_repeatable(tmp_path):
+def test_yardstick_block_is_repeatable(tmp_path):
     # d=200 puts spectral_init's form in two row blocks; d=100, the
     # default, builds it in one product
     for d, n in ((8, 40), (200, 1000)):
-        runs = [run_tool("record_hash.py", "--d", d, "--n", n, "--seeds", 1, cwd=tmp_path)
+        runs = [run_tool("yardstick.py", "--d", d, "--n", n, "--seeds", 1, cwd=tmp_path)
                 for _ in range(2)]
         lines = runs[0]
-        assert lines[0] == f"d={d} n={n} p_fail=0.4 seeds 0-0"
-        assert [line.split()[0] for line in lines[1:5]] == ["l1", "mcp", "capped_l1",
-                                                            "trimmed_l1"]
-        assert all(" iterations " in line for line in lines[1:5])
-        assert re.fullmatch(r"sha256 [0-9a-f]{16}", lines[5])
-        assert len(lines) == 6
+        assert lines[0] == f"d={d} n={n} p_fail=0.4 seeds 0-0, shipped start and 0 one-ulp starts"
+        assert [line.split()[:2] for line in lines[2:6]] == [[loss, "shipped"] for loss in LOSSES]
+        assert re.fullmatch(r"sha256 [0-9a-f]{16}", lines[6])
+        assert len(lines) == 7
         assert runs[1] == runs[0]
 
 
-def test_record_hash_sweep_workers_agree(tmp_path):
+def test_yardstick_rejects_an_empty_block(tmp_path):
+    proc = subprocess.run([sys.executable, str(TOOLS / "yardstick.py"), "--seeds", "0"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert "--seeds must be at least 1" in proc.stderr
+
+
+def test_yardstick_sweep_workers_agree(tmp_path):
     config = tmp_path / "toy.json"
     config.write_text(json.dumps({
         "d": 8, "n_over_d": [5], "p_fail": [0.2], "trials": 2, "base_seed": 7,
         "losses": [{"name": "l1"}], "solver": {"max_iters": 40},
     }), encoding="utf-8")
-    lines = run_tool("record_hash.py", "--sweep", config, cwd=tmp_path)
-    assert lines[0] == "sweep toy.json, time cap off: workers 1 and 2 agree"
-    assert [line.split()[-1] for line in lines[1:]] == ["summary.csv", "trials.csv",
-                                                        "heatmap_l1.csv"]
-    assert all(re.fullmatch(r"sha256 [0-9a-f]{16}  \S+", line) for line in lines[1:])
+    serial, pooled = (run_tool("yardstick.py", "--sweep", config, "--workers", workers,
+                               cwd=tmp_path) for workers in (1, 2))
+    assert serial[0] == "sweep toy.json, time cap off, start shipped"
+    assert [line.split()[-1] for line in serial[2:]] == ["summary.csv", "trials.csv",
+                                                         "heatmap_l1.csv"]
+    assert all(re.fullmatch(r"sha256 [0-9a-f]{16}  \S+", line) for line in serial[2:])
+    assert pooled[2:] == serial[2:]
 
 
 def test_code_lines_prints_a_total(tmp_path):
@@ -61,7 +69,8 @@ def test_yardstick_block_prints_a_band(tmp_path):
     assert lines[0] == "d=8 n=40 p_fail=0.4 seeds 0-0, shipped start and 2 one-ulp starts"
     assert lines[1].split() == ["loss", "start", "successes", "iterations", "roundoff",
                                 "floor", "rel_tol", "stationary", "max_iters", "time_cap"]
-    rows = [line.split() for line in lines[2:]]
+    rows = [line.split() for line in lines[2:-1]]
+    assert re.fullmatch(r"sha256 [0-9a-f]{16}", lines[-1])
     assert [row[:2] for row in rows] == [[loss, start] for loss in LOSSES
                                          for start in ("shipped", "band")]
     for shipped, band in zip(rows[::2], rows[1::2]):
@@ -85,13 +94,14 @@ def test_yardstick_sweep_counts_flips(tmp_path):
     assert (tmp_path / "shipped" / "trials.csv").is_file()
     again = run_tool("yardstick.py", "--sweep", config, "--workers", 1, "--compare",
                      tmp_path / "shipped" / "trials.csv", cwd=tmp_path)
-    # the same start at another worker count flips nothing
+    # the same start at another worker count flips nothing and writes the
+    # same cells; lines 1-2 are the two labels, the digest lines follow
     assert again[1:] and [line.split(", seconds")[0] for line in again[1:]] == \
         [line.split(", seconds")[0] for line in shipped[1:]]
-    assert all(line.endswith(", flips +0/-0") for line in again[1:])
+    assert all(line.endswith(", flips +0/-0") for line in again[1:3])
     # one worker: a perturbed start reaches pool workers only where they fork
     moved = run_tool("yardstick.py", "--sweep", config, "--start", 0, "--workers", 1,
                      "--compare", tmp_path / "shipped" / "trials.csv", cwd=tmp_path)
     assert moved[0] == "sweep toy.json, time cap off, start 0"
-    assert [line.split(":")[0] for line in moved[1:]] == ["l1", "capped_l1_beta10"]
-    assert all(re.search(r", flips \+\d+/-\d+$", line) for line in moved[1:])
+    assert [line.split(":")[0] for line in moved[1:3]] == ["l1", "capped_l1_beta10"]
+    assert all(re.search(r", flips \+\d+/-\d+$", line) for line in moved[1:3])
