@@ -41,6 +41,15 @@ def test_yardstick_rejects_an_empty_block(tmp_path):
     assert "--seeds must be at least 1" in proc.stderr
 
 
+def test_yardstick_rejects_a_workerless_sweep(tmp_path):
+    # refused while parsing, before the config loads: the path does not exist
+    proc = subprocess.run([sys.executable, str(TOOLS / "yardstick.py"), "--sweep",
+                           "absent.json", "--workers", "0"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert "--workers must be at least 1" in proc.stderr
+
+
 def test_yardstick_sweep_workers_agree(tmp_path):
     config = tmp_path / "toy.json"
     config.write_text(json.dumps({

@@ -235,6 +235,8 @@ def main(argv):
         parser.error("--starts and --start must be nonnegative")
     if args.seeds < 1:
         parser.error("--seeds must be at least 1: a block of no solve hashes as any other")
+    if args.workers < 1:
+        parser.error("--workers must be at least 1")
     if (args.start is not None and args.workers > 1
             and multiprocessing.get_start_method() != "fork"):
         parser.error("--start reaches pool workers only when they fork; use --workers 1")
