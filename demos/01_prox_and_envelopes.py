@@ -10,7 +10,7 @@ shrinks.
 import numpy as np
 
 from dcvs import prox
-from dcvs.oracle import brute_prox_1d, brute_prox_nd
+from dcvs.oracle import brute_prox_nd
 
 print("== scalar prox operators vs the grid oracle ==")
 cases = [
@@ -28,7 +28,7 @@ for name, prox_fn, value_fn in cases:
     for t in (0.4, 1.2, 2.5):
         mu = 0.5
         closed = float(prox_fn(t, mu))
-        grid = brute_prox_1d(value_fn, t, mu, radius=2.0, step=1e-5)
+        grid = brute_prox_nd(value_fn, t, mu, radius=2.0, step=1e-5)[0]
         print(f"  {name}: t={t:4.1f}  closed={closed:+.5f}  grid={grid:+.5f}")
 
 print()

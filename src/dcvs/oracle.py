@@ -11,46 +11,19 @@ import math
 
 import numpy as np
 
-__all__ = ("brute_prox_1d", "brute_prox_nd", "fd_grad", "check_descent")
+__all__ = ("brute_prox_nd", "fd_grad", "check_descent")
 
 _CHUNK = 1_000_000
 
 
-def brute_prox_1d(value_fn, t, mu, radius, step):
-    """Grid argmin of ``value_fn(z) + (z - t)^2/(2*mu)`` over
-    ``[t - radius, t + radius]``; ties broken toward smaller ``|z|``.
-
-    ``value_fn`` must accept a numpy array and evaluate elementwise.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if radius < step:
-        raise ValueError("radius must be at least one step")
-    if not mu > 0:
-        raise ValueError("mu must be positive")
-    half = int(math.ceil(radius / step))
-    best_obj = math.inf
-    best_z = None
-    for start in range(-half, half + 1, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, half + 1))
-        zs = t + idx * step
-        obj = np.asarray(value_fn(zs), dtype=float) + (zs - t) ** 2 / (2.0 * mu)
-        if not np.all(np.isfinite(obj)):
-            raise FloatingPointError("non-finite objective on the oracle grid")
-        m = float(obj.min())
-        cand = zs[obj == m]
-        z = float(cand[np.argmin(np.abs(cand))])
-        if m < best_obj or (m == best_obj and abs(z) < abs(best_z)):
-            best_obj, best_z = m, z
-    return best_z
-
-
 def brute_prox_nd(value_fn, z, mu, radius, step):
     """Grid argmin of ``value_fn(w) + ||w - z||^2/(2*mu)`` over the product
-    grid ``z_i +- radius`` with spacing ``step``; dimension capped at 3.
+    grid ``z_i +- radius`` with spacing ``step``; ``z`` is a scalar or a
+    vector of dimension at most 3.  Returns the first minimiser in grid
+    order, as an array of ``z``'s size.
 
     ``value_fn`` takes an ``(m, dim)`` array of points and returns ``m``
-    values.
+    values in any shape, so an elementwise function serves at dim 1.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     dim = z.size
@@ -63,25 +36,20 @@ def brute_prox_nd(value_fn, z, mu, radius, step):
     half = int(math.ceil(radius / step))
     offsets = np.arange(-half, half + 1) * step
     axes = [zi + offsets for zi in z]
-
-    if dim == 1:
-        rest = np.zeros((1, 0))
-    else:
-        mesh = np.meshgrid(*axes[1:], indexing="ij")
-        rest = np.stack([g.ravel() for g in mesh], axis=-1)
-    m_rest = rest.shape[0]
-    block = max(1, _CHUNK // m_rest)
+    squares = [(axis - zi) ** 2 for axis, zi in zip(axes, z)]
+    # whole first-axis rows of the grid, about _CHUNK points at a time
+    block = max(1, _CHUNK // offsets.size ** (dim - 1))
 
     best_obj = math.inf
     best_w = None
-    first = axes[0]
-    for i in range(0, first.size, block):
-        xs = first[i:i + block]
-        pts = np.concatenate(
-            [np.repeat(xs, m_rest)[:, None], np.tile(rest, (xs.size, 1))], axis=1
-        )
-        obj = np.asarray(value_fn(pts), dtype=float)
-        obj = obj + np.sum((pts - z) ** 2, axis=1) / (2.0 * mu)
+    for i in range(0, offsets.size, block):
+        rows = slice(i, i + block)
+        pts = np.stack(np.meshgrid(axes[0][rows], *axes[1:], indexing="ij", copy=False),
+                       axis=-1).reshape(-1, dim)
+        # summed left to right, as np.sum((pts - z) ** 2, axis=1) would
+        quad = sum(np.meshgrid(squares[0][rows], *squares[1:], indexing="ij", copy=False))
+        obj = np.asarray(value_fn(pts), dtype=float).reshape(len(pts))
+        obj = obj + quad.ravel() / (2.0 * mu)
         if not np.all(np.isfinite(obj)):
             raise FloatingPointError("non-finite objective on the oracle grid")
         j = int(np.argmin(obj))

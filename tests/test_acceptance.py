@@ -25,7 +25,7 @@ from dcvs import (
     surrogate_oracle,
 )
 from dcvs.bench import SweepConfig, emit_outputs, run_sweep
-from dcvs.oracle import brute_prox_1d, brute_prox_nd, check_descent, fd_grad
+from dcvs.oracle import brute_prox_nd, check_descent, fd_grad
 from dcvs.prox import (
     huber_value,
     prox_capped_complement,
@@ -37,15 +37,6 @@ from dcvs.prox import (
 
 def _line(num, ok, detail):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {detail}")
-
-
-def _acceptance_losses(n):
-    return [
-        make_loss("l1", n),
-        make_loss("mcp", n, lam=1.0, beta=2.0),
-        make_loss("capped_l1", n, beta=2.0),
-        make_loss("trimmed_l1", n, K=max(1, int(0.3 * n))),
-    ]
 
 
 # --------------------------------------------------------------------------
@@ -76,8 +67,8 @@ def test_criterion_1_prox_oracle_equivalence():
             t = float(rng.uniform(-4.0, 4.0))
             closed = float(prox_fn(t, mu, p))
             radius = 10.0 * mu * lip(p)
-            z_star = brute_prox_1d(lambda zz: value_fn(zz, p), t, mu,
-                                   radius=max(radius, 1e-3), step=1e-5)
+            z_star = brute_prox_nd(lambda zz: value_fn(zz, p), t, mu,
+                                   radius=max(radius, 1e-3), step=1e-5)[0]
 
             def objective(zz):
                 return float(value_fn(np.asarray(zz), p)) + (zz - t) ** 2 / (2 * mu)

@@ -1,35 +1,36 @@
 import numpy as np
 import pytest
 
-from dcvs.oracle import brute_prox_1d, brute_prox_nd, check_descent, fd_grad
+from dcvs.oracle import brute_prox_nd, check_descent, fd_grad
 
 
-def test_brute_prox_1d_abs():
-    z = brute_prox_1d(np.abs, 2.0, 0.5, radius=5.0, step=1e-5)
+def test_brute_prox_nd_scalar_abs():
+    z, = brute_prox_nd(np.abs, 2.0, 0.5, radius=5.0, step=1e-5)
     assert z == pytest.approx(1.5, abs=2e-5)
 
 
-def test_brute_prox_1d_quadratic_alone():
-    z = brute_prox_1d(lambda t: np.zeros_like(t), 7.0, 1.0, radius=1.0, step=1e-4)
+def test_brute_prox_nd_scalar_quadratic_alone():
+    z, = brute_prox_nd(lambda t: np.zeros_like(t), 7.0, 1.0, radius=1.0, step=1e-4)
     assert z == pytest.approx(7.0, abs=1e-4)
 
 
-def test_brute_prox_1d_tie_break_toward_zero():
-    # |.| at t = 0: every grid point +-z ties with its mirror
-    z = brute_prox_1d(np.abs, 0.0, 1.0, radius=1.0, step=1e-3)
+def test_brute_prox_nd_scalar_returns_exact_zero():
+    # |z| + z^2/2 has its unique minimiser at 0, a grid point when t = 0:
+    # the grid's own 0.0 comes back, not a neighbour
+    z, = brute_prox_nd(np.abs, 0.0, 1.0, radius=1.0, step=1e-3)
     assert z == 0.0
 
 
-def test_brute_prox_1d_rejects_bad_grid():
+def test_brute_prox_nd_rejects_bad_grid():
     with pytest.raises(ValueError):
-        brute_prox_1d(np.abs, 0.0, 1.0, radius=1.0, step=0.0)
+        brute_prox_nd(np.abs, 0.0, 1.0, radius=1.0, step=0.0)
     with pytest.raises(ValueError):
-        brute_prox_1d(np.abs, 0.0, 1.0, radius=1e-6, step=1e-3)
+        brute_prox_nd(np.abs, 0.0, 1.0, radius=1e-6, step=1e-3)
 
 
-def test_brute_prox_1d_flags_nonfinite():
+def test_brute_prox_nd_flags_nonfinite():
     with pytest.raises(FloatingPointError):
-        brute_prox_1d(lambda t: np.where(t > 0.5, np.inf, 0.0), 0.0, 1.0,
+        brute_prox_nd(lambda t: np.where(t > 0.5, np.inf, 0.0), 0.0, 1.0,
                       radius=1.0, step=1e-2)
 
 

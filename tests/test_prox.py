@@ -13,7 +13,7 @@ from helpers import (
 
 import dcvs.losses
 from dcvs import SolverConfig, make_loss, prox, solve, spectral_init
-from dcvs.oracle import brute_prox_1d, brute_prox_nd, fd_grad
+from dcvs.oracle import brute_prox_nd, fd_grad
 
 
 def test_prox_scaled_abs_values():
@@ -344,7 +344,7 @@ def test_scalar_prox_against_grid_oracle(label, prox_fn, value_fn, lipschitz):
         closed = float(prox_fn(t, mu, p))
         # the prox cannot move farther than mu * Lipschitz from t
         radius = max(2.0 * mu * lipschitz(p), 1e-3)
-        z_star = brute_prox_1d(lambda zz: value_fn(zz, p), t, mu, radius, 1e-5)
+        z_star = brute_prox_nd(lambda zz: value_fn(zz, p), t, mu, radius, 1e-5)[0]
 
         def objective(zz):
             return float(value_fn(np.asarray(zz), p)) + (zz - t) ** 2 / (2.0 * mu)

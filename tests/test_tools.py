@@ -114,3 +114,36 @@ def test_yardstick_sweep_counts_flips(tmp_path):
     assert moved[0] == "sweep toy.json, time cap off, start 0"
     assert [line.split(":")[0] for line in moved[1:3]] == ["l1", "capped_l1_beta10"]
     assert all(re.search(r", flips \+\d+/-\d+$", line) for line in moved[1:3])
+
+
+def test_yardstick_compare_may_name_the_trials_that_out_overwrites(tmp_path):
+    def sweep(max_iters, *args, check=True):
+        config = tmp_path / "toy.json"
+        config.write_text(json.dumps({
+            "d": 8, "n_over_d": [8], "p_fail": [0.0], "trials": 3, "base_seed": 3,
+            "losses": [{"name": "l1"}], "solver": {"max_iters": max_iters},
+        }), encoding="utf-8")
+        proc = subprocess.run([sys.executable, str(TOOLS / "yardstick.py"), "--sweep", config,
+                               "--workers", "1", *map(str, args)],
+                              cwd=tmp_path, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0 or not check, proc.stderr
+        return proc
+
+    trials = tmp_path / "record" / "trials.csv"
+    sweep(2, "--out", trials.parent)
+    header, *rows = trials.read_text(encoding="utf-8").splitlines()
+    # two steps succeed nowhere and 2000 everywhere: the flips show only if
+    # the record is read before the second sweep overwrites it
+    assert sweep(2000, "--out", trials.parent, "--compare", trials).stdout.split("\n")[1] \
+        .endswith(", flips +3/-0")
+    short = tmp_path / "short.csv"
+    short.write_text("\n".join([header, *rows[:2]]) + "\n", encoding="utf-8")
+    lacking = sweep(2, "--compare", short, check=False)
+    assert lacking.returncode == 1
+    assert "short.csv lacks this sweep's row n=64, p_fail=0.0" in lacking.stderr
+    assert "loss=l1, trial=2" in lacking.stderr
+    # a missing record fails before the sweep writes anything
+    missing = sweep(2, "--out", tmp_path / "never", "--compare", tmp_path / "absent.csv",
+                    check=False)
+    assert missing.returncode == 1 and "absent.csv" in missing.stderr
+    assert not (tmp_path / "never").exists()

@@ -48,7 +48,9 @@ digests do not depend on how the CSV encoder quotes a cell.  Two runs at
 different ``--workers`` must print the same digests.  ``--out DIR``
 keeps the written CSVs; ``--compare TRIALS`` prints, per loss label, the
 success flips against a ``trials.csv`` an earlier run wrote (``+`` now
-succeeds, ``-`` now fails).
+succeeds, ``-`` now fails).  TRIALS is read before the sweep runs, so it
+may be the ``trials.csv`` that ``--out`` overwrites, and it must hold
+every trial row of this sweep.
 
 BLAS runs on one thread, pinned before numpy loads: the iteration counts
 differ at two.  The tool imports ``dcvs`` from the ``src`` directory of
@@ -84,6 +86,7 @@ HASHED = ("x_final", "mus", "surrogate_values", "grad_norms", "cost_values",
           "gammas", "gamma_inits", "backtrack_counts")
 TERMINATIONS = ("rel_tol", "stationary", "max_iters", "time_cap")
 COUNTS = ("successes", "iterations", "roundoff", "floor")
+TRIAL_KEY = ("n", "p_fail", "s", "loss", "trial")
 
 
 def losses(n):
@@ -175,7 +178,15 @@ def cells_digest(table):
     return hashlib.sha256(json.dumps(cells).encode()).hexdigest()[:16]
 
 
+def trial_key(row):
+    """A trial row's cell, loss label and trial index."""
+    return tuple(row[col] for col in TRIAL_KEY)
+
+
 def check_sweep(args):
+    # read before the sweep runs: --out may overwrite the compared file
+    before = ({trial_key(row): row["success"] for row in read_trials(read_csv(args.compare))}
+              if args.compare else None)
     with open(args.sweep, encoding="utf-8") as fh:
         raw = json.load(fh)
     raw["solver"] = {**raw.get("solver", {}), "time_cap_seconds": None}
@@ -192,14 +203,12 @@ def check_sweep(args):
     finally:
         dcvs.bench.spectral_init = shipped_init
     rows = read_trials(tables["trials.csv"])
+    for row in rows:
+        if before is not None and trial_key(row) not in before:
+            sys.exit(f"{args.compare} lacks this sweep's row "
+                     + ", ".join(f"{col}={row[col]}" for col in TRIAL_KEY))
     start = "shipped" if args.start is None else args.start
     print(f"sweep {Path(args.sweep).name}, time cap off, start {start}")
-    # a trial row is keyed by its cell, its loss label and its trial index
-    def key(row):
-        return row["n"], row["p_fail"], row["s"], row["loss"], row["trial"]
-
-    before = ({key(row): row["success"] for row in read_trials(read_csv(args.compare))}
-              if args.compare else {})
     for label in dict.fromkeys(row["loss"] for row in rows):
         mine = [row for row in rows if row["loss"] == label]
         ends = Counter(row["termination"] for row in mine if not row["error"])
@@ -207,8 +216,8 @@ def check_sweep(args):
                 f", errors {sum(bool(row['error']) for row in mine)}"
                 f", {dict(sorted(ends.items()))}"
                 f", seconds {sum(float(row['seconds']) for row in mine):.1f}")
-        if before:
-            was = [before[key(row)] for row in mine]
+        if before is not None:
+            was = [before[trial_key(row)] for row in mine]
             gained = sum(w == "0" and row["success"] == "1" for w, row in zip(was, mine))
             lost = sum(w == "1" and row["success"] == "0" for w, row in zip(was, mine))
             line += f", flips +{gained}/-{lost}"
