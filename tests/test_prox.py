@@ -251,6 +251,30 @@ def test_clip_threshold_zero_where_first_kink_fits(z, K):
     assert prox._clip_threshold(a, 0.3, K) == 0.0
 
 
+@pytest.mark.parametrize(
+    "z,K,positive",
+    [
+        # prefix sums 0.1 + 0.2 + 0.3 = 0.6000000000000001, pairwise sum
+        # 0.2 + 0.3 + 0.1 = 0.6 = mu*K: the box clip fits
+        ([0.2, -0.9, -0.1], 2, False),
+        # both sums exceed mu*K = 0.9 by roundoff, and the slack at the
+        # first kink is positive: theta is a few ulps
+        ([0.2, -0.2, -0.2, 1.2], 3, True),
+    ],
+)
+def test_clip_threshold_box_clip_test_within_the_margin(z, K, positive):
+    # the prefix-sum box-clip sum lies above mu*K by less than 2E, too
+    # little to decide the test, so the pairwise sum decides it
+    a = np.abs(np.asarray(z))
+    a_sorted = np.sort(a)
+    ip = int(a_sorted.searchsorted(0.3))
+    excess = a_sorted[:ip].cumsum()[-1] + 0.3 * (a.size - ip) - 0.3 * K
+    err = (a.size + 8) * np.finfo(float).eps * a.sum()
+    assert 0.0 < excess <= 2.0 * err
+    theta, wrapped = _check_against_all_kinks(np.asarray(z), K, 0.3)
+    assert not wrapped and (theta > 0.0) == positive
+
+
 # (function, reference), both called as f(t, lam, beta, mu); huber_value
 # is no prox, but builds its two branches in arrays it owns
 SCALAR_PROX_REFERENCES = {

@@ -50,6 +50,17 @@ def test_yardstick_rejects_a_workerless_sweep(tmp_path):
     assert "--workers must be at least 1" in proc.stderr
 
 
+def test_yardstick_rejects_sweep_flags_without_a_sweep(tmp_path):
+    # a block run would ignore them: no DIR written, absent.csv never read
+    proc = subprocess.run([sys.executable, str(TOOLS / "yardstick.py"), "--d", "8", "--n", "40",
+                           "--seeds", "1", "--compare", "absent.csv", "--out", "DIR",
+                           "--start", "3"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert "--start, --out, --compare apply only with --sweep" in proc.stderr
+    assert not (tmp_path / "DIR").exists()
+
+
 def test_yardstick_sweep_workers_agree(tmp_path):
     config = tmp_path / "toy.json"
     config.write_text(json.dumps({

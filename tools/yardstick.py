@@ -246,6 +246,10 @@ def main(argv):
         parser.error("--seeds must be at least 1: a block of no solve hashes as any other")
     if args.workers < 1:
         parser.error("--workers must be at least 1")
+    sweep_only = [flag for flag in ("--start", "--out", "--compare")
+                  if getattr(args, flag[2:]) is not None]
+    if sweep_only and not args.sweep:
+        parser.error(f"{', '.join(sweep_only)} apply only with --sweep")
     if (args.start is not None and args.workers > 1
             and multiprocessing.get_start_method() != "fork"):
         parser.error("--start reaches pool workers only when they fork; use --workers 1")
