@@ -95,38 +95,64 @@ def generate_instance(d, n, p_fail, s, outlier_kind="cauchy",
 
 SPECTRAL_CAP_MULTIPLE = 3.0
 SPECTRAL_POWER_ITERS = 100
-# Rows of the spectral form per gemm: every block but the last has this
-# many, the last the rest (96 to 191 rows).  Measured on OpenBLAS (Haswell
-# kernels, one thread): the blocks keep the single product's bits when
-# each block edge is a multiple of 12 rows and no block is small enough
-# (M*N*K <= 100**3) for the small-matrix kernel; balanced blocks of up to
-# 128 rows changed them at d = 220, 300 and 500.  96 is a multiple of 48.
-SPECTRAL_BLOCK_ROWS = 96
+# OpenBLAS's split of a gemm's inner dimension on its SkylakeX DGEMM core
+# (GEMM_Q, GEMM_UNROLL_M), and the M*N*K up to which that core hands a
+# product to its small-matrix kernel instead.  numpy ships a DYNAMIC_ARCH
+# OpenBLAS that picks its core at run time; on a core that splits
+# differently the panels lose the single product's bits, and
+# tests/test_retrieval.py fails.
+GEMM_Q = 384
+GEMM_UNROLL_M = 16
+GEMM_SMALL_MNK = 100**3
+
+
+def _gemm_panels(k):
+    """Edges of OpenBLAS's panels of an inner dimension of ``k``: ``GEMM_Q``
+    while at least ``2 * GEMM_Q`` remain, then the rest halved and rounded
+    up to a multiple of ``GEMM_UNROLL_M`` while it exceeds ``GEMM_Q``."""
+    edges = [0]
+    while edges[-1] < k:
+        step = k - edges[-1]
+        if step >= 2 * GEMM_Q:
+            step = GEMM_Q
+        elif step > GEMM_Q:
+            step = -(-(step // 2) // GEMM_UNROLL_M) * GEMM_UNROLL_M
+        edges.append(edges[-1] + step)
+    return edges
 
 
 def _spectral_form(A, b, keep, tau):
     """The quadratic form ``(1/n) * sum over keep of min(b_i, tau) a_i a_i^T``.
 
-    It is the product ``A_k^T W / n`` of the kept rows ``A_k`` with their
-    weighted copy ``W``, formed in place.  ``Y`` is filled in row blocks
-    of :data:`SPECTRAL_BLOCK_ROWS` rows (``d < 192`` is one block), each
-    the product of a column block of ``A_k`` with ``W``, so ``A_k`` is
-    never copied in full: beside ``A`` the form holds ``W``, one block and
-    ``Y``, about ``|A| * (1 + h/d)`` bytes with ``h`` the tallest block's
-    rows, where the single product ``A_k^T (w * A_k)`` held ``2|A|`` plus
-    two copies of ``Y``.  On one BLAS thread the blocks give ``Y`` the
-    single product's bits (the tests check both forms ``==`` on several
-    shapes).  On more threads OpenBLAS splits each product by its shape,
-    and neither form keeps the bits of another thread count.
+    It is ``Y = sum_p A_p^T (w_p * A_p) / n`` over consecutive panels
+    ``A_p`` of the kept rows, at the edges where OpenBLAS splits the inner
+    dimension of the single product ``A_k^T (w * A_k)``, which adds ``Y``
+    up panel by panel itself.  So beside ``A`` the form holds one panel,
+    its weighted copy, one ``d x d`` product and ``Y``, where the single
+    product held two copies of ``A_k``.  A form with ``d*d*(smallest
+    panel) <= GEMM_SMALL_MNK``, a product OpenBLAS would hand to its
+    small-matrix kernel, stays one product.  On one BLAS thread the panels
+    give ``Y`` the single product's bits (the tests check both forms
+    ``==`` on several shapes).  On more threads OpenBLAS splits each
+    product by its shape, and neither form keeps the bits of another
+    thread count.
     """
     n, d = A.shape
-    W = A[keep]
-    W *= np.minimum(b[keep], tau)[:, None]
-    Y = np.empty((d, d))
-    blocks = max(d // SPECTRAL_BLOCK_ROWS, 1)
-    edges = [SPECTRAL_BLOCK_ROWS * i for i in range(blocks)] + [d]
-    for lo, hi in zip(edges, edges[1:]):
-        np.matmul(A[keep, lo:hi].T, W, out=Y[lo:hi])
+    rows = np.flatnonzero(keep)
+    w = np.minimum(b[rows], tau)[:, None]
+    edges = _gemm_panels(rows.size)
+    if d * d * (edges[-1] - edges[-2]) <= GEMM_SMALL_MNK:  # the last is the smallest
+        edges = [0, rows.size]
+
+    def panel_product(lo, hi):
+        # the panel and its weighted copy are freed on return, before the
+        # next panel is gathered
+        A_p = A[rows[lo:hi]]
+        return A_p.T @ (w[lo:hi] * A_p)
+
+    Y = panel_product(0, edges[1])
+    for lo, hi in zip(edges[1:], edges[2:]):
+        Y += panel_product(lo, hi)
     Y /= n
     return Y
 
@@ -150,9 +176,9 @@ def spectral_init(A, b, seed):
     as 5 and a bool or string rejected.  ``A`` and ``b`` are checked as
     :func:`dcvs.maps.rpr_map` checks them.
 
-    The form is built in row blocks by :func:`_spectral_form`, whose
-    transient memory is about ``|A| * (1 + h/d)`` for blocks of at most
-    ``h`` rows rather than ``2|A|``.  Each vector is normalised by
+    The form is built over row panels of ``A`` by :func:`_spectral_form`,
+    whose transient memory is two panels of at most 384 rows and two
+    ``d x d`` arrays rather than ``2|A|``.  Each vector is normalised by
     ``sqrt(w.w)``, the number ``np.linalg.norm`` returns for a real
     vector.
     """

@@ -4,6 +4,8 @@ breakpoint-distance predicates for finite-difference checks, and the
 direct expressions that the package's leaner forms are checked against."""
 
 import csv
+import functools
+import operator
 
 import numpy as np
 
@@ -225,9 +227,28 @@ def topk_value_reference(z, K):
     return 0.0 if K == 0 else float(np.partition(np.abs(z), n - K)[n - K:].sum())
 
 
+def topk_grid_value(W, K):
+    """``np.sort(np.abs(W), axis=-1)[..., -K:].sum(axis=-1)`` for ``W`` of
+    at most 3 columns, bit for bit, without the sort: the grid oracles'
+    top-K value.  The order statistics come from ``np.minimum`` and
+    ``np.maximum``, and the K largest are added left to right, the order in
+    which the sorted sum adds them."""
+    a = np.abs(W)
+    dim = a.shape[-1]
+    if dim == 1:
+        cols = [a[..., 0]]
+    else:
+        lo, hi = np.minimum(a[..., 0], a[..., 1]), np.maximum(a[..., 0], a[..., 1])
+        cols = [lo, hi]
+        if dim == 3:
+            c = a[..., 2]
+            cols = [np.minimum(lo, c), np.maximum(lo, np.minimum(hi, c)), np.maximum(hi, c)]
+    return functools.reduce(operator.add, cols[dim - K:])
+
+
 def spectral_form_reference(A, b, keep, tau):
     """Reference for :func:`dcvs.retrieval._spectral_form`: the single
-    product ``A_k^T (w * A_k) / n`` that its row blocks replace."""
+    product ``A_k^T (w * A_k) / n`` that its panels replace."""
     Ak = A[keep]
     return Ak.T @ (np.minimum(b[keep], tau)[:, None] * Ak) / A.shape[0]
 

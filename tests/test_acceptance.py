@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import draw_x_away_from_kinks, replay_iterates, sweep_cells
+from helpers import draw_x_away_from_kinks, replay_iterates, sweep_cells, topk_grid_value
 
 from dcvs import (
     SolverConfig,
@@ -84,7 +84,7 @@ def test_criterion_1_prox_oracle_equivalence():
         p = prox_topk(z, K, mu)
 
         def value(W):
-            return np.sort(np.abs(W), axis=-1)[..., -K:].sum(axis=-1)
+            return topk_grid_value(W, K)
 
         def objective_nd(w):
             return float(value(np.atleast_2d(w))[0]) + float(

@@ -235,7 +235,7 @@ def test_kernels_leave_their_inputs_unchanged():
     # the step's kernels write in place only into arrays they made: every
     # input here is read-only, so a write into one would raise, and each
     # still holds its bytes afterwards; d = 200 puts spectral_init's form
-    # in two row blocks
+    # in three panels
     inst = generate_instance(200, 1000, 0.3, 1.0, seed=3)
     rng = np.random.default_rng(16)
     inputs = {"A": inst.A, "b": inst.b, "x": rng.standard_normal(200),

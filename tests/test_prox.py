@@ -8,6 +8,7 @@ from helpers import (
     prox_scaled_abs_reference,
     prox_topk_reference,
     small_instance,
+    topk_grid_value,
     topk_value_reference,
 )
 
@@ -143,7 +144,7 @@ def test_prox_topk_matches_grid_oracle():
         p = prox.prox_topk(z, K, mu)
 
         def value(W):
-            return np.sort(np.abs(W), axis=-1)[..., -K:].sum(axis=-1)
+            return topk_grid_value(W, K)
 
         def objective(w):
             return float(value(np.atleast_2d(w))[0]) + float(
@@ -273,6 +274,18 @@ def test_clip_threshold_box_clip_test_within_the_margin(z, K, positive):
     assert 0.0 < excess <= 2.0 * err
     theta, wrapped = _check_against_all_kinks(np.asarray(z), K, 0.3)
     assert not wrapped and (theta > 0.0) == positive
+
+
+def test_clip_threshold_reads_kinks_within_E_of_the_range():
+    # a_2 equals the computed t_K + mu, so it lies at the end of the range
+    # of a_i whose a_i - mu kinks are read, yet a_2 - mu rounds one ulp
+    # below t_K = a_1, into the window, where its slack is the first <= 0:
+    # only the range widened by E reads that kink
+    z = np.array([0.4454811367997753, 1.854789284324174, 2.2153073365999134])
+    K, mu = 2, 0.3605180522757396
+    assert z[2] == z[1] + mu and z[2] - mu == np.nextafter(z[1], 0.0)
+    theta, wrapped = _check_against_all_kinks(z, K, mu)
+    assert not wrapped and 0.0 < theta < z[2] - mu
 
 
 # (function, reference), both called as f(t, lam, beta, mu); huber_value

@@ -18,6 +18,7 @@ from dcvs import (
     surrogate_oracle,
 )
 from dcvs.oracle import check_descent
+from dcvs.retrieval import _gemm_panels
 
 
 def test_generate_instance_inlier_structure():
@@ -119,22 +120,30 @@ def test_spectral_init_validation():
     assert np.array_equal(spectral_init(inst.A, inst.b, 2.0), spectral_init(inst.A, inst.b, 2))
 
 
-# spectral forms of one row block (d < 192), two, three and four
-SPECTRAL_FORM_SHAPES = [(30, 240), (100, 1000), (129, 645), (200, 1000), (256, 1280),
-                        (300, 1500), (400, 2000)]
+# spectral forms of one panel, two (the halved rest of 500 and 645 rows),
+# three (1000 rows), four and six (d >= 192); then forms whose last panel
+# OpenBLAS would hand to its small-matrix kernel, which lose the single
+# product's bits when split, so they stay one product
+SPECTRAL_FORM_SHAPES = [(30, 240), (100, 500), (100, 1000), (129, 645), (200, 1000),
+                        (256, 1280), (300, 1500), (400, 2000)]
+SMALL_KERNEL_FORM_SHAPES = [(40, 400), (40, 600), (50, 400)]
 
 
-def test_spectral_form_blocks_keep_the_single_product_bits():
+def test_spectral_form_panels_keep_the_single_product_bits():
     # OpenBLAS's bits depend on its thread count, the single product's
-    # included, so the row blocks promise that product's bits on one
-    # thread, the one tests/conftest.py pins, as tools/yardstick.py and
-    # the benchmark do
-    assert spectral_form_mismatches(SPECTRAL_FORM_SHAPES) == []
+    # included, so the panels promise that product's bits on one thread,
+    # the one tests/conftest.py pins, as tools/yardstick.py and the
+    # benchmark do.  The panel edges are those of OpenBLAS's SkylakeX
+    # core: a BLAS that splits differently fails here.
+    assert _gemm_panels(1000) == [0, 384, 704, 1000]
+    assert _gemm_panels(500) == [0, 256, 500]
+    assert spectral_form_mismatches(SPECTRAL_FORM_SHAPES + SMALL_KERNEL_FORM_SHAPES) == []
 
 
 def test_spectral_init_peak_memory():
-    # the form's transient is |A| (the weighted rows) plus one column block
-    # of A and Y: 1.48 |A| here, where the single product read 2.2 |A|
+    # beside A the form holds one panel of 384 rows, its weighted copy, one
+    # d x d product and Y: 0.79 |A| here, where row blocks of Y read 1.48 |A|
+    # and the single product 2.2 |A|
     inst = generate_instance(400, 2000, 0.4, 1.0, seed=0)
     spectral_init(inst.A[:40, :8], inst.b[:40], 0)  # numpy's first-call set-up, untraced
     tracemalloc.start()
@@ -143,7 +152,7 @@ def test_spectral_init_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.6 * inst.A.nbytes
+    assert peak < 0.9 * inst.A.nbytes
 
 
 def test_spectral_init_quality_outlier_free():

@@ -21,8 +21,8 @@ def run_tool(name, *args, cwd):
 
 
 def test_yardstick_block_is_repeatable(tmp_path):
-    # d=200 puts spectral_init's form in two row blocks; d=100, the
-    # default, builds it in one product
+    # d=200 puts spectral_init's form in three panels; d=8 builds it in
+    # one product
     for d, n in ((8, 40), (200, 1000)):
         runs = [run_tool("yardstick.py", "--d", d, "--n", n, "--seeds", 1, cwd=tmp_path)
                 for _ in range(2)]

@@ -15,9 +15,10 @@ The block is each instance of ``bench.seeded_problem(d, n, p_fail, 1.0,
 ``mcp`` (lambda=1, beta=1000), ``capped_l1`` (beta=1000) and
 ``trimmed_l1`` (K=round(0.4*n)) under ``SolverConfig(time_cap_seconds=None)``.
 The defaults are the seed-0 block of perfbench's ``solve-d100`` workload;
-``--d 400 --n 4000 --seeds 4`` is that of ``solve-d400``.  At ``d = 100``
-``spectral_init`` builds its quadratic form in one product, and from
-``d = 192`` in row blocks, so check a change to the set-up at d=400 too.
+``--d 400 --n 4000 --seeds 4`` is that of ``solve-d400``.
+``spectral_init`` builds its quadratic form in three row panels at
+``d = 100`` and eleven at ``d = 400``, so the default hash checks the
+set-up too; check a change to the set-up at d=400 as well.
 
 It solves the block from its spectral start and from ``--starts M``
 (default 0) perturbed ones.  Start ``j`` (0..M-1) moves entry ``i`` of the
