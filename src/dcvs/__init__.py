@@ -7,7 +7,6 @@ from .retrieval import (
     Instance,
     generate_instance,
     kappa_fn_for_loss,
-    kappa_mu,
     spectral_init,
     success,
 )
@@ -34,7 +33,6 @@ __all__ = (
     "backtrack",
     "generate_instance",
     "kappa_fn_for_loss",
-    "kappa_mu",
     "make_loss",
     "mu_schedule",
     "rpr_map",

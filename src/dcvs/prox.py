@@ -238,10 +238,23 @@ def _clip_threshold(a, box, K):
     further kink below the window has a positive computed slack, and one
     above ``t_K`` comes after ``t_K``, so neither changes ``theta``.  So
     the ``a_i - box`` kinks are read off the ``a_i`` in
-    ``[lower + box - E, t_K + box + E)`` and the one below them: past the
-    test ``box < sum(a)``, so ``E`` is many ulps of ``lower + box``, and
-    that range holds every ``a_i`` whose rounded ``a_i - box`` is in the
-    window or is the largest below it.  When
+    ``[lower + box, t_K + box + E)`` and the largest ``a_i = x`` below
+    that range if ``x >= box`` (an ``a_i < box`` gives no kink, so at
+    ``lower = 0`` none is left out).  Past the test ``box < sum(a)``, so
+    ``E`` is several ulps of ``t_K + box``, and the range holds every
+    ``a_i`` whose rounded ``a_i - box`` is at most ``t_K``.  An ``a_i``
+    left out below it has a rounded ``a_i - box`` at most ``k``, the
+    rounded ``x - box`` (rounding is monotone), which is evaluated; so it
+    changes nothing if the exact slack at ``k`` exceeds ``E``, as it does.
+    ``k`` exceeds ``lower`` by two roundings and ``lower`` its exact
+    expression by two more, each at most ``u*(t_K + box) <= 2u*sum(a)``,
+    while ``E >= 18u*sum(a)``.  If ``k <= t_K - box``, the K largest terms
+    are saturated, so ``s(k) >= min(t_{K+1} - k, box) >= 2E -
+    8u*sum(a)``.  Otherwise ``lower`` is the rounded ``t_{K+1} - box``
+    (the other candidate lies ``2E`` below ``t_K - box``), ``k <= t_{K+1}
+    - box + 3u*t_{K+1}``, each of the K+1 largest terms is at least ``box
+    - 3u*t_{K+1}``, and ``s(k) >= box - 3u*(K + 1)*t_{K+1} >= box -
+    3u*sum(a)``; both bounds exceed ``E`` as ``2E < box``.  When
     ``2E >= box``, or for ``K = n`` (no ``t_{K+1}``), the window is every
     kink ``>= 0``, evaluated in arrays; so is a narrow window of
     ``_FLOAT_KINKS`` kinks or more.  A smaller one, whose entries are all
@@ -267,7 +280,7 @@ def _clip_threshold(a, box, K):
         t_K, t_K1 = a_sorted.item(n - K), a_sorted.item(n - K - 1)
         lower = max(t_K1 - box, min(t_K - box, t_K1) - 2.0 * err, 0.0)
         ip, ia, ja, ib, jb = a_sorted.searchsorted(
-            (box, lower, t_K, lower + box - err, t_K + box + err)).tolist()
+            (box, lower, t_K, lower + box, t_K + box + err)).tolist()
         a_kinks, b_kinks = a_sorted[max(ia - 1, 0):ja + 1], a_sorted[max(ib - 1, ip):jb]
     else:
         ip = int(a_sorted.searchsorted(box))

@@ -21,7 +21,6 @@ __all__ = (
     "generate_instance",
     "spectral_init",
     "success",
-    "kappa_mu",
     "kappa_fn_for_loss",
 )
 
@@ -220,12 +219,12 @@ def success(x, x_star, threshold=1e-3):
     return float(rel), bool(rel < threshold)
 
 
-def kappa_mu(A, b, lam, L_g, mu):
-    """Global curvature bound for the smoothed composite on a quadratic
-    residual instance:
+def _kappa_fn(A, b, lam, L_g):
+    """``mu -> kappa_mu``, the global curvature bound for the smoothed
+    composite on a quadratic residual instance:
 
-        2*L_g*sqrt(sum_i ||a_i||^4) + 6*lam*sum_i ||a_i||^2
-            + 4*sum_i(||a_i||^2 |b_i|) / mu
+        kappa_mu = 2*L_g*sqrt(sum_i ||a_i||^4) + 6*lam*sum_i ||a_i||^2
+                   + 4*sum_i(||a_i||^2 |b_i|) / mu
 
     The first term is a weak-convexity constant of the smoothed
     subtracted part; the rest aggregates the per-measurement
@@ -235,14 +234,10 @@ def kappa_mu(A, b, lam, L_g, mu):
     single-measurement constant instead is valid only when each
     measurement touches its own coordinate, and gradient-descent
     trajectories do exceed that smaller value on Gaussian instances.
-    ``lam`` is the MCP weight and is 1 for the other losses.
+    ``lam`` is the MCP weight and is 1 for the other losses.  The mu-free
+    terms are read from ``A`` once: the closure returns ``head + tail /
+    mu``.
     """
-    return _kappa_fn(A, b, lam, L_g)(mu)
-
-
-def _kappa_fn(A, b, lam, L_g):
-    """``mu -> kappa_mu(A, b, lam, L_g, mu)``, with the mu-free terms read
-    from ``A`` once: the closure returns ``head + tail / mu``."""
     if not lam > 0:
         raise ValueError("lam must be positive")
     if not L_g >= 0:

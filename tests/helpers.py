@@ -1,7 +1,8 @@
 """Shared fixtures-in-code for the test suite: loss catalogs, random
 instances, the iterates of a recorded solve, the cells of a written sweep,
-breakpoint-distance predicates for finite-difference checks, and the
-direct expressions that the package's leaner forms are checked against."""
+breakpoint-distance predicates for finite-difference checks, the grid
+oracle's gap for prox checks, and the direct expressions that the
+package's leaner forms are checked against."""
 
 import csv
 import functools
@@ -11,15 +12,17 @@ import numpy as np
 
 from dcvs import generate_instance, make_loss, rpr_map, surrogate_at_residual
 from dcvs.bench import TIMING_COLUMNS
-from dcvs.retrieval import SPECTRAL_CAP_MULTIPLE, _spectral_form
+from dcvs.oracle import brute_prox_nd
 from dcvs.prox import (
     _clip_threshold,
+    huber_value,
     moreau_value_and_grad,
     prox_capped_complement,
     prox_huber,
     prox_scaled_abs,
     prox_topk,
 )
+from dcvs.retrieval import SPECTRAL_CAP_MULTIPLE, _spectral_form
 
 
 def catalog_losses(n):
@@ -49,6 +52,39 @@ BAD_LOSS_SPECS = [
     {"name": "trimmed_l1", "K_over_n": float("inf")},
     {"name": "trimmed_l1", "K_over_n": float("nan")},
 ]
+
+
+# the scalar proxes checked against the grid oracle, each as (name,
+# prox(t, mu, p), value(z, p), a Lipschitz constant of value(., p))
+SCALAR_PROX_FAMILIES = [
+    ("scaled_abs",
+     lambda t, mu, p: prox_scaled_abs(t, mu, p),
+     lambda z, p: p * np.abs(z),
+     lambda p: p),
+    ("huber",
+     lambda t, mu, p: prox_huber(t, 1.0, p, mu),
+     lambda z, p: huber_value(z, 1.0, p),
+     lambda p: 1.0),
+    ("capped_complement",
+     lambda t, mu, p: prox_capped_complement(t, p, mu),
+     lambda z, p: np.maximum(np.abs(z) - p, 0.0),
+     lambda p: 1.0),
+]
+
+
+def grid_gap(point, value_fn, z, mu, radius, step):
+    """Prox objective ``value_fn(w) + ||w - z||^2/(2*mu)`` at ``point``
+    minus its value at ``brute_prox_nd(value_fn, z, mu, radius, step)``:
+    at most roundoff when ``point`` is the prox of ``value_fn`` at ``z``
+    and the grid spans it.  ``value_fn`` takes an ``(m, dim)`` array, as
+    the oracle's does; ``point`` and ``z`` are scalars or vectors."""
+    z = np.atleast_1d(z)
+
+    def objective(w):
+        w = np.atleast_1d(w)
+        return float(np.ravel(value_fn(w[None, :]))[0]) + float(np.sum((w - z) ** 2)) / (2 * mu)
+
+    return objective(point) - objective(brute_prox_nd(value_fn, z, mu, radius, step))
 
 
 def small_instance(seed, d=20, n=100, p_fail=0.25, s=1.0):

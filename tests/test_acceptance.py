@@ -10,7 +10,14 @@ import math
 
 import numpy as np
 import pytest
-from helpers import draw_x_away_from_kinks, replay_iterates, sweep_cells, topk_grid_value
+from helpers import (
+    SCALAR_PROX_FAMILIES,
+    draw_x_away_from_kinks,
+    grid_gap,
+    replay_iterates,
+    sweep_cells,
+    topk_grid_value,
+)
 
 from dcvs import (
     SolverConfig,
@@ -25,14 +32,8 @@ from dcvs import (
     surrogate_oracle,
 )
 from dcvs.bench import SweepConfig, emit_outputs, run_sweep
-from dcvs.oracle import brute_prox_nd, check_descent, fd_grad
-from dcvs.prox import (
-    huber_value,
-    prox_capped_complement,
-    prox_huber,
-    prox_scaled_abs,
-    prox_topk,
-)
+from dcvs.oracle import check_descent, fd_grad
+from dcvs.prox import prox_topk
 
 
 def _line(num, ok, detail):
@@ -45,35 +46,16 @@ def _line(num, ok, detail):
 
 def test_criterion_1_prox_oracle_equivalence():
     rng = np.random.default_rng(100)
-    families = [
-        ("scaled_abs",
-         lambda t, mu, p: prox_scaled_abs(t, mu, p),
-         lambda z, p: p * np.abs(z),
-         lambda p: p),
-        ("huber",
-         lambda t, mu, p: prox_huber(t, 1.0, p, mu),
-         lambda z, p: huber_value(z, 1.0, p),
-         lambda p: 1.0),
-        ("capped_complement",
-         lambda t, mu, p: prox_capped_complement(t, p, mu),
-         lambda z, p: np.maximum(np.abs(z) - p, 0.0),
-         lambda p: 1.0),
-    ]
     worst_scalar = 0.0
-    for _name, prox_fn, value_fn, lip in families:
+    for _name, prox_fn, value_fn, lip in SCALAR_PROX_FAMILIES:
         for _ in range(1000):
             mu = float(rng.uniform(0.02, 0.4))
             p = float(rng.uniform(0.1, 1.0))
             t = float(rng.uniform(-4.0, 4.0))
-            closed = float(prox_fn(t, mu, p))
-            radius = 10.0 * mu * lip(p)
-            z_star = brute_prox_nd(lambda zz: value_fn(zz, p), t, mu,
-                                   radius=max(radius, 1e-3), step=1e-5)[0]
-
-            def objective(zz):
-                return float(value_fn(np.asarray(zz), p)) + (zz - t) ** 2 / (2 * mu)
-
-            worst_scalar = max(worst_scalar, objective(closed) - objective(z_star))
+            radius = max(10.0 * mu * lip(p), 1e-3)
+            gap = grid_gap(float(prox_fn(t, mu, p)), lambda zz: value_fn(zz, p), t, mu,
+                           radius, step=1e-5)
+            worst_scalar = max(worst_scalar, gap)
 
     worst_topk = 0.0
     for _ in range(200):
@@ -81,18 +63,10 @@ def test_criterion_1_prox_oracle_equivalence():
         K = int(rng.integers(1, dim + 1))
         mu = float(rng.uniform(0.03, 0.12 if dim == 3 else 0.3))
         z = rng.uniform(-1.5, 1.5, dim)
-        p = prox_topk(z, K, mu)
-
-        def value(W):
-            return topk_grid_value(W, K)
-
-        def objective_nd(w):
-            return float(value(np.atleast_2d(w))[0]) + float(
-                np.sum((w - z) ** 2)) / (2 * mu)
-
         # a prox coordinate cannot move farther than mu from z
-        w_star = brute_prox_nd(value, z, mu, radius=mu + 3e-3, step=1e-3)
-        worst_topk = max(worst_topk, objective_nd(p) - objective_nd(w_star))
+        gap = grid_gap(prox_topk(z, K, mu), lambda W: topk_grid_value(W, K), z, mu,
+                       radius=mu + 3e-3, step=1e-3)
+        worst_topk = max(worst_topk, gap)
 
     ok = worst_scalar <= 1e-8 and worst_topk <= 1e-6
     _line(1, ok, f"prox oracle gaps: scalar {worst_scalar:.2e} (tol 1e-8), "

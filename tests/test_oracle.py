@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dcvs import oracle
 from dcvs.oracle import brute_prox_nd, check_descent, fd_grad
 
 
@@ -21,6 +22,14 @@ def test_brute_prox_nd_scalar_returns_exact_zero():
     assert z == 0.0
 
 
+def test_brute_prox_nd_tie_across_chunks_keeps_the_first():
+    # -|w| + w^2/(2*mu) has equal minima at -mu and +mu, exact on this
+    # grid of integers; they lie in the first and second chunks
+    half = oracle._CHUNK
+    w, = brute_prox_nd(lambda t: -np.abs(t), 0.0, half / 2, radius=half, step=1.0)
+    assert w == -half / 2
+
+
 def test_brute_prox_nd_rejects_bad_grid():
     with pytest.raises(ValueError):
         brute_prox_nd(np.abs, 0.0, 1.0, radius=1.0, step=0.0)
@@ -35,9 +44,7 @@ def test_brute_prox_nd_flags_nonfinite():
 
 
 def test_brute_prox_nd_top1():
-    def top1(W):
-        return np.sort(np.abs(W), axis=-1)[..., -1:].sum(axis=-1)
-
+    top1 = lambda W: np.sort(np.abs(W), axis=-1)[..., -1:].sum(axis=-1)
     w = brute_prox_nd(top1, [3.0, 1.0], 1.0, radius=1.2, step=1e-3)
     assert np.allclose(w, [2.0, 1.0], atol=2e-3)
 
@@ -49,10 +56,7 @@ def test_brute_prox_nd_zero_function():
 
 
 def test_brute_prox_nd_l1():
-    def l1(W):
-        return np.abs(W).sum(axis=-1)
-
-    w = brute_prox_nd(l1, [3.0, 1.0], 1.0, radius=1.2, step=1e-3)
+    w = brute_prox_nd(lambda W: np.abs(W).sum(axis=-1), [3.0, 1.0], 1.0, radius=1.2, step=1e-3)
     assert np.allclose(w, [2.0, 0.0], atol=2e-3)
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 from helpers import (
+    SCALAR_PROX_FAMILIES,
     clip_threshold_all_kinks,
+    grid_gap,
     huber_value_reference,
     prox_capped_complement_reference,
     prox_huber_reference,
@@ -14,7 +16,7 @@ from helpers import (
 
 import dcvs.losses
 from dcvs import SolverConfig, make_loss, prox, solve, spectral_init
-from dcvs.oracle import brute_prox_nd, fd_grad
+from dcvs.oracle import fd_grad
 
 
 def test_prox_scaled_abs_values():
@@ -141,18 +143,9 @@ def test_prox_topk_matches_grid_oracle():
         K = int(rng.integers(1, dim + 1))
         mu = float(rng.uniform(0.05, 0.25))
         z = rng.uniform(-1.5, 1.5, dim)
-        p = prox.prox_topk(z, K, mu)
-
-        def value(W):
-            return topk_grid_value(W, K)
-
-        def objective(w):
-            return float(value(np.atleast_2d(w))[0]) + float(
-                np.sum((w - z) ** 2)
-            ) / (2.0 * mu)
-
-        w = brute_prox_nd(value, z, mu, radius=mu + 0.02, step=2e-3)
-        assert objective(p) <= objective(w) + 1e-8
+        gap = grid_gap(prox.prox_topk(z, K, mu), lambda W: topk_grid_value(W, K), z, mu,
+                       radius=mu + 0.02, step=2e-3)
+        assert gap <= 1e-8
 
 
 def _check_against_all_kinks(z, K, mu):
@@ -349,44 +342,17 @@ def test_prox_topk_matches_reference_at_extreme_entries():
             assert prox.topk_value(finite, k) == topk_value_reference(finite, k)
 
 
-@pytest.mark.parametrize(
-    "label,prox_fn,value_fn,lipschitz",
-    [
-        (
-            "scaled_abs",
-            lambda t, mu, p: prox.prox_scaled_abs(t, mu, p),
-            lambda z, p: p * np.abs(z),
-            lambda p: p,
-        ),
-        (
-            "huber",
-            lambda t, mu, p: prox.prox_huber(t, 1.0, p, mu),
-            lambda z, p: prox.huber_value(z, 1.0, p),
-            lambda p: 1.0,
-        ),
-        (
-            "capped_complement",
-            lambda t, mu, p: prox.prox_capped_complement(t, p, mu),
-            lambda z, p: np.maximum(np.abs(z) - p, 0.0),
-            lambda p: 1.0,
-        ),
-    ],
-)
+@pytest.mark.parametrize("label,prox_fn,value_fn,lipschitz", SCALAR_PROX_FAMILIES)
 def test_scalar_prox_against_grid_oracle(label, prox_fn, value_fn, lipschitz):
     rng = np.random.default_rng(3)
     for _ in range(60):
         t = float(rng.uniform(-4, 4))
         mu = float(rng.uniform(0.05, 1.0))
         p = float(rng.uniform(0.2, 2.0))
-        closed = float(prox_fn(t, mu, p))
         # the prox cannot move farther than mu * Lipschitz from t
         radius = max(2.0 * mu * lipschitz(p), 1e-3)
-        z_star = brute_prox_nd(lambda zz: value_fn(zz, p), t, mu, radius, 1e-5)[0]
-
-        def objective(zz):
-            return float(value_fn(np.asarray(zz), p)) + (zz - t) ** 2 / (2.0 * mu)
-
-        assert objective(closed) <= objective(z_star) + 1e-8
+        gap = grid_gap(float(prox_fn(t, mu, p)), lambda zz: value_fn(zz, p), t, mu, radius, 1e-5)
+        assert gap <= 1e-8
 
 
 def _envelope(value_fn, prox_fn, z, mu):

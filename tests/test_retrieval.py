@@ -9,7 +9,6 @@ from dcvs import (
     SolverConfig,
     generate_instance,
     kappa_fn_for_loss,
-    kappa_mu,
     make_loss,
     rpr_map,
     solve,
@@ -18,7 +17,7 @@ from dcvs import (
     surrogate_oracle,
 )
 from dcvs.oracle import check_descent
-from dcvs.retrieval import _gemm_panels
+from dcvs.retrieval import _gemm_panels, _kappa_fn
 
 
 def test_generate_instance_inlier_structure():
@@ -215,20 +214,20 @@ def test_success_examples():
 
 
 def test_kappa_mu_values():
-    assert kappa_mu(np.array([[1.0]]), np.array([1.0]), 1.0, 1.0, 0.5) == pytest.approx(16.0)
-    assert kappa_mu(np.array([[1.0]]), np.array([0.0]), 1.0, 0.0, 1.0) == pytest.approx(6.0)
+    assert _kappa_fn(np.array([[1.0]]), np.array([1.0]), 1.0, 1.0)(0.5) == pytest.approx(16.0)
+    assert _kappa_fn(np.array([[1.0]]), np.array([0.0]), 1.0, 0.0)(1.0) == pytest.approx(6.0)
     # the pair is checked as rpr_map checks it, not summed over silently
     with pytest.raises(ValueError, match="^b must be"):
-        kappa_mu(np.ones((3, 2)), np.ones(2), 1.0, 1.0, 0.5)
+        _kappa_fn(np.ones((3, 2)), np.ones(2), 1.0, 1.0)(0.5)
     with pytest.raises(ValueError, match="^A must be"):
-        kappa_mu(np.ones((0, 2)), np.ones(0), 1.0, 1.0, 0.5)
+        _kappa_fn(np.ones((0, 2)), np.ones(0), 1.0, 1.0)(0.5)
     # a NaN or nonpositive lam or mu, or a NaN L_g, is no bound, and an
     # infinite measurement gave an infinite one
     for lam, L_g, mu, b, name in ((1.0, np.nan, 0.5, 1.0, "L_g"), (1.0, 1.0, 0.0, 1.0, "mu"),
                                   (1.0, 1.0, np.nan, 1.0, "mu"), (0.0, 1.0, 0.5, 1.0, "lam"),
                                   (1.0, 1.0, 0.5, np.inf, "b")):
         with pytest.raises(ValueError, match=f"^{name} must"):
-            kappa_mu(np.array([[1.0]]), np.array([b]), lam, L_g, mu)
+            _kappa_fn(np.array([[1.0]]), np.array([b]), lam, L_g)(mu)
 
 
 def test_kappa_mu_affine_in_inverse_mu():
@@ -238,7 +237,8 @@ def test_kappa_mu_affine_in_inverse_mu():
     row_sq = np.sum(A * A, axis=1)
     m2 = (row_sq * np.abs(b)).sum()
     mu = 0.4
-    diff = kappa_mu(A, b, 1.0, 1.0, mu / 2) - kappa_mu(A, b, 1.0, 1.0, mu)
+    kappa = _kappa_fn(A, b, 1.0, 1.0)
+    diff = kappa(mu / 2) - kappa(mu)
     assert diff == pytest.approx(4.0 * m2 / mu)
 
 
