@@ -25,11 +25,11 @@ __all__ = (
 
 _EPS = float(np.finfo(float).eps)
 
-# _clip_threshold evaluates a narrow window of fewer kinks than this in
-# Python floats, and a larger one in arrays: on trimmed_l1 solves of the
-# reduced sweep's grid (windows of 5 to about 1,100 kinks) the two cost
-# the same at 16-24 kinks, on a 2-vCPU Xeon VM
-_FLOAT_KINKS = 20
+# _clip_threshold brackets the first crossing of a window of more kinks
+# than this by a scan over every _STRIDE-th kink; of 8 to 32, 24 and 32
+# were fastest on calls captured from trimmed_l1 solves at n = 1000-4000,
+# on a 2-vCPU Xeon VM
+_STRIDE = 32
 
 
 def _require_positive(**params):
@@ -166,10 +166,12 @@ def prox_topk(z, K, mu):
     piecewise-linear budget slack is evaluated only at the kinks in
     ``[max(t_{K+1} - mu, min(t_K - mu, t_{K+1}) - 2E), t_K]``, where
     ``t_K``, ``t_{K+1}`` are the K-th and (K+1)-th largest ``|z_i|``, or
-    at every kink, in arrays, when ``2E >= mu`` or ``K = n``.  A window of
-    a few kinks is evaluated in Python floats, a larger one in arrays.
-    The result is bit for bit that of evaluating the slack at every kink,
-    apart from the roundoff case that :func:`_clip_threshold` sets to 0.
+    at every kink when ``2E >= mu`` or ``K = n``.  One scan, in Python
+    floats, finds the first kink whose slack is ``<= 0``; in a window of
+    more than 32 kinks it first scans every 32nd kink to bracket that
+    kink.  The result is bit for bit that of evaluating the slack at every
+    kink, apart from the roundoff case that :func:`_clip_threshold` sets
+    to 0.
     """
     if not mu > 0:
         _require_positive(mu=mu)
@@ -256,10 +258,24 @@ def _clip_threshold(a, box, K):
     - 3u*t_{K+1}``, and ``s(k) >= box - 3u*(K + 1)*t_{K+1} >= box -
     3u*sum(a)``; both bounds exceed ``E`` as ``2E < box``.  When
     ``2E >= box``, or for ``K = n`` (no ``t_{K+1}``), the window is every
-    kink ``>= 0``, evaluated in arrays; so is a narrow window of
-    ``_FLOAT_KINKS`` kinks or more.  A smaller one, whose entries are all
-    finite as ``E`` is, is evaluated in Python floats, with the array
-    path's operations in its order, which round alike.
+    kink ``>= 0``.  The kinks of a NaN ``a_i`` are NaN, sort after every
+    other kink and have NaN slacks, so none is the first crossing or the
+    kink before it; they are left out.
+
+    The window's slacks are computed in Python floats, kink by kink up to
+    the first ``<= 0``.  A window of more than ``_STRIDE`` kinks first
+    runs that scan over every ``_STRIDE``-th kink to bracket the crossing.
+    A coarse kink whose computed slack exceeds ``2E`` has ``s > E``, so
+    ``s > E`` at every kink up to it as ``s`` is nonincreasing, and each
+    of those has a computed slack ``> 0``: the crossing lies past the last
+    such coarse kink.  A coarse kink with computed slack ``<= 0`` is at or
+    past the crossing.  A coarse slack in ``(0, 2E]`` decides neither, so
+    the bracket stays open there.  The scan then runs from the last coarse
+    kink of the first kind, which is the kink before the crossing if the
+    crossing is the next kink, to the first of the second kind, and finds
+    the first crossing of the whole window.  A non-finite ``a`` makes
+    ``E`` inf or NaN, which no slack exceeds, and that scan starts at
+    kink 0.
 
     The full sort and prefix sum stay although the window needs a few
     entries: the prefix sums are sequential, so their rounding, and hence
@@ -275,16 +291,15 @@ def _clip_threshold(a, box, K):
     prefix[0] = 0.0
     np.add.accumulate(a_sorted, out=prefix[1:])
     err = (n + 8) * _EPS * prefix.item(n)
-    narrow = K < n and 2.0 * err < box  # every a_i finite, too
-    if narrow:
+    if K < n and 2.0 * err < box:  # every a_i finite, too
         t_K, t_K1 = a_sorted.item(n - K), a_sorted.item(n - K - 1)
         lower = max(t_K1 - box, min(t_K - box, t_K1) - 2.0 * err, 0.0)
         ip, ia, ja, ib, jb = a_sorted.searchsorted(
             (box, lower, t_K, lower + box, t_K + box + err)).tolist()
         a_kinks, b_kinks = a_sorted[max(ia - 1, 0):ja + 1], a_sorted[max(ib - 1, ip):jb]
-    else:
-        ip = int(a_sorted.searchsorted(box))
-        a_kinks, b_kinks = a_sorted, a_sorted[ip:]
+    else:  # every kink of the a_i that are not NaN (NaN sorts last)
+        ip, m = a_sorted.searchsorted((box, np.nan)).tolist()
+        a_kinks, b_kinks = a_sorted[:m], a_sorted[ip:m]
     if not prefix.item(ip) + box * (n - ip) - total > 2.0 * err:
         if np.minimum(a, box).sum() <= total:
             return 0.0
@@ -292,32 +307,35 @@ def _clip_threshold(a, box, K):
     # clip(a - theta, 0, box) = min(a, theta + box) - min(a, theta), with
     # the kink 0 always evaluated.  Repeated kinks have equal slacks, so the
     # first kink with slack <= 0 and the one before it are distinct.
-    if narrow and a_kinks.size + b_kinks.size < _FLOAT_KINKS:
-        kinks = a_kinks.tolist() + [b - box for b in b_kinks.tolist()] + [0.0]
-        kinks.sort()
-        w = len(kinks)
-        pos = a_sorted.searchsorted(kinks + [t + box for t in kinks])
-        sums, pos = prefix[pos].tolist(), pos.tolist()
-        slack = []
-        for i, t in enumerate(kinks):  # the array path's operations, in order
-            slack.append(sums[i + w] + (t + box) * (n - pos[i + w])
-                         - (sums[i] + t * (n - pos[i])) - total)
-            if slack[-1] <= 0.0:
-                break
-    else:
-        kinks = np.concatenate((a_kinks, b_kinks - box, (0.0,)))
-        kinks.sort()
-        t = np.concatenate((kinks, kinks + box))
-        pos = a_sorted.searchsorted(t)
-        min_sum = prefix[pos] + t * (n - pos)
-        w = kinks.size
-        slack = (min_sum[w:] - min_sum[:w] - total).tolist()
-        kinks = kinks.tolist()
-    hi = next((i for i, s in enumerate(slack) if s <= 0.0), 0)
-    if hi == 0:  # theta = 0 already fits (or, by roundoff, no kink does)
+    kinks = a_kinks.tolist() + [b - box for b in b_kinks.tolist()] + [0.0]
+    kinks.sort()
+    start, stop = 0, len(kinks)
+    if stop > _STRIDE:  # bracket the first crossing between two coarse kinks
+        coarse = _slacks(kinks[::_STRIDE], a_sorted, prefix, box, total)
+        start = _STRIDE * max((i for i, s in enumerate(coarse) if s > 2.0 * err), default=0)
+        if coarse[-1] <= 0.0:
+            stop = _STRIDE * (len(coarse) - 1) + 1
+    slack = _slacks(kinks[start:stop], a_sorted, prefix, box, total)
+    hi = start + len(slack) - 1
+    if hi == 0 or not slack[-1] <= 0.0:  # theta = 0 already fits (or no kink does)
         return 0.0
     lo = hi - 1
-    return kinks[lo] + slack[lo] * (kinks[hi] - kinks[lo]) / (slack[lo] - slack[hi])
+    return kinks[lo] + slack[-2] * (kinks[hi] - kinks[lo]) / (slack[-2] - slack[-1])
+
+
+def _slacks(kinks, a_sorted, prefix, box, total):
+    """Computed slacks of :func:`_clip_threshold` at the sorted ``kinks``,
+    in order, up to the first that is ``<= 0``."""
+    n, w = a_sorted.size, len(kinks)
+    pos = a_sorted.searchsorted(kinks + [t + box for t in kinks])
+    sums, pos = prefix[pos].tolist(), pos.tolist()
+    slack = []
+    for i, t in enumerate(kinks):
+        slack.append(sums[i + w] + (t + box) * (n - pos[i + w])
+                     - (sums[i] + t * (n - pos[i])) - total)
+        if slack[-1] <= 0.0:
+            break
+    return slack
 
 
 def moreau_value_and_grad(prox_point, z, value_at_prox, mu):

@@ -178,10 +178,21 @@ def clip_threshold_all_kinks(a, box, K):
     roundoff-sized number of either sign, where ``_clip_threshold``
     returns 0.
     """
-    total = box * K
-    if np.minimum(a, box).sum() <= total:
+    if np.minimum(a, box).sum() <= box * K:
         return 0.0, False
 
+    kinks, slack, _ = all_kink_slacks(a, box, K)
+    hi = int(np.argmax(slack <= 0.0))
+    lo = hi - 1
+    theta = kinks[lo] + slack[lo] * (kinks[hi] - kinks[lo]) / (slack[lo] - slack[hi])
+    return float(theta), hi == 0
+
+
+def all_kink_slacks(a, box, K):
+    """The computed slack of :func:`clip_threshold_all_kinks` at every
+    kink ``>= 0``, from its own sort and prefix sums.  Returns ``(kinks,
+    slack, err)``: the kinks sorted and unique, their slacks, and the
+    roundoff bound ``E = (n + 8) * eps * sum(a)`` read off the same sums."""
     kinks = np.unique(np.concatenate([a, a - box, [0.0]]))
     kinks = kinks[kinks >= 0.0]
     a_sorted = np.sort(a)
@@ -193,11 +204,8 @@ def clip_threshold_all_kinks(a, box, K):
         return prefix[pos] + t * (a.size - pos)
 
     # clip(a - theta, 0, box) = min(a, theta + box) - min(a, theta)
-    slack = min_sum(kinks + box) - min_sum(kinks) - total
-    hi = int(np.argmax(slack <= 0.0))
-    lo = hi - 1
-    theta = kinks[lo] + slack[lo] * (kinks[hi] - kinks[lo]) / (slack[lo] - slack[hi])
-    return float(theta), hi == 0
+    slack = min_sum(kinks + box) - min_sum(kinks) - box * K
+    return kinks, slack, (a.size + 8) * np.finfo(float).eps * prefix[-1]
 
 
 def surrogate_reference(loss, z, mu):

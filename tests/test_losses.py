@@ -255,7 +255,8 @@ def test_kernels_leave_their_inputs_unchanged():
             surrogate_at_residual(loss, z, 0.3, grad=grad)
     prox.huber_value(z, 1.0, 2.0)
     prox.topk_value(z, 300)
-    prox.prox_topk(z, 300, 0.3)  # a narrow kink window, in Python floats
-    prox.prox_topk(z, 1000, 0.3)  # K = n: every kink, in arrays
+    prox.prox_topk(z, 300, 0.3)  # a window of 65 kinks, bracketed first
+    prox.prox_topk(z, 300, 1e-13)  # 2E > mu: every kink is in the window
+    prox.prox_topk(z, 1000, 0.3)  # K = n: the box clip fits
     for key, value in inputs.items():
         assert value.tobytes() == saved[key].tobytes(), key

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from helpers import (
     SCALAR_PROX_FAMILIES,
+    all_kink_slacks,
     clip_threshold_all_kinks,
     grid_gap,
     huber_value_reference,
@@ -163,36 +166,54 @@ def _check_against_all_kinks(z, K, mu):
 
 
 def _residual_draws(rng, count):
+    """``count`` draws of six kinds, mostly at n = 1 to 64, then draws
+    whose kink windows exceed ``prox._STRIDE`` kinks, so that the kink
+    search brackets its crossing first."""
     kinds = ("gauss", "cauchy", "quarters", "outliers", "plateau", "near_ties")
     for i in range(count):
         kind = kinds[i % len(kinds)]
         n = 1000 if i % 200 < len(kinds) else int(rng.integers(1, 65))
         K = int(rng.choice([1, max(n - 1, 1), n, rng.integers(1, n + 1)]))
         mu = float(rng.choice([1.0, 0.3, 0.05, 1e-3]))
-        if kind == "gauss":
-            z = rng.standard_normal(n) * rng.choice([0.01, 1.0, 10.0])
-        elif kind == "cauchy":
-            z = 50.0 * rng.standard_cauchy(n)
-        elif kind == "quarters":
-            z = np.round(4.0 * rng.standard_normal(n)) / 4.0
-        elif kind == "outliers":
-            # tiny inliers next to huge outliers
-            z = 1e-3 * rng.standard_normal(n)
-            m = int(rng.integers(0, n + 1))
-            z[:m] = 1e3 * rng.standard_normal(m)
-        elif kind == "plateau":
-            # K residuals clear the rest by more than mu: the slack is 0
-            # on a whole interval of theta
-            z = rng.uniform(-1.0, 1.0, n)
-            gap = mu * (1.0 + rng.choice([1e-12, 0.5, 3.0]))
-            z[:K] = np.sign(z[:K]) * (1.0 + gap + rng.uniform(0.0, 2.0, K))
-        else:
-            # clusters of values one ulp apart
-            pool = rng.standard_normal(3)
-            z = pool[rng.integers(0, 3, n)]
-            nudge = rng.random(n) < 0.5
-            z[nudge] = np.nextafter(z[nudge], np.inf)
-        yield rng.permutation(z), K, mu
+        yield _residual_draw(rng, kind, n, K, mu)
+    for n, share, mu, kind in itertools.product((1000, 2000), (0.2, 0.4), (0.05, 0.3),
+                                                ("converged", "start")):
+        yield _residual_draw(rng, kind, n, int(share * n), mu)
+    for K, mu in itertools.product((300, 600, 999), (1.0, 0.3, 0.05)):
+        yield _residual_draw(rng, "plateau", 1000, K, mu)
+
+
+def _residual_draw(rng, kind, n, K, mu):
+    if kind == "gauss":
+        z = rng.standard_normal(n) * rng.choice([0.01, 1.0, 10.0])
+    elif kind == "cauchy":
+        z = 50.0 * rng.standard_cauchy(n)
+    elif kind == "quarters":
+        z = np.round(4.0 * rng.standard_normal(n)) / 4.0
+    elif kind == "outliers":
+        # tiny inliers next to huge outliers
+        z = 1e-3 * rng.standard_normal(n)
+        m = int(rng.integers(0, n + 1))
+        z[:m] = 1e3 * rng.standard_normal(m)
+    elif kind == "plateau":
+        # K residuals clear the rest by more than mu: the slack is 0
+        # on a whole interval of theta
+        z = rng.uniform(-1.0, 1.0, n)
+        gap = mu * (1.0 + rng.choice([1e-12, 0.5, 3.0]))
+        z[:K] = np.sign(z[:K]) * (1.0 + gap + rng.uniform(0.0, 2.0, K))
+    elif kind in ("converged", "start"):
+        # K residuals near 1e3, the rest near 1e-3; at "start" the K lie
+        # near 1e12, as Cauchy outliers do at a spectral start, so that
+        # 2E exceeds mu and the window is every kink
+        z = 1e-3 * rng.standard_normal(n)
+        z[:K] = (1e3 if kind == "converged" else 1e12) * (1.0 + 1e-3 * rng.random(K))
+    else:
+        # clusters of values one ulp apart
+        pool = rng.standard_normal(3)
+        z = pool[rng.integers(0, 3, n)]
+        nudge = rng.random(n) < 0.5
+        z[nudge] = np.nextafter(z[nudge], np.inf)
+    return rng.permutation(z), K, mu
 
 
 def test_clip_threshold_matches_all_kink_reference():
@@ -225,6 +246,64 @@ def test_clip_threshold_matches_all_kink_reference_on_a_solve(monkeypatch):
         assert not wrapped
         shifts += theta > 0.0
     assert shifts > len(calls) // 2
+
+
+def test_clip_threshold_all_kink_battery_reaches_the_bracket(monkeypatch):
+    # the battery's last draws hold kink windows of more than _STRIDE
+    # kinks, which a scan over every _STRIDE-th kink brackets first; at
+    # some coarse kink the slack, read off the reference's own prefix
+    # sums, lies in (0, 2E], which leaves the bracket open there
+    scans = []
+    scan = prox._slacks
+
+    def recording_scan(kinks, *args):
+        scans.append((kinks, scan(kinks, *args)))
+        return scans[-1][1]
+
+    monkeypatch.setattr(prox, "_slacks", recording_scan)
+    bracketed = undecided = 0
+    for z, K, mu in _residual_draws(np.random.default_rng(8), 0):
+        _check_against_all_kinks(z, K, mu)
+        a = np.abs(z)
+        scans.clear()
+        prox._clip_threshold(a, mu, K)
+        if len(scans) < 2:
+            continue
+        bracketed += 1
+        (coarse_kinks, computed), _ = scans
+        kinks, slack, err = all_kink_slacks(a, mu, K)
+        at = np.searchsorted(kinks, coarse_kinks)[:len(computed)]  # the scan stops at <= 0
+        assert np.array_equal(slack[at], computed)
+        undecided += bool(np.any((slack[at] > 0.0) & (slack[at] <= 2.0 * err)))
+    assert bracketed >= 10 and undecided >= 5, (bracketed, undecided)
+
+
+def test_clip_threshold_bracket_stays_open_at_a_small_positive_slack():
+    # the exact slack is 0 on [0.25, 0.45]; computed, it is -1.4e-15 at
+    # 0.25 and +3.3e-16 at 0.45, the 33rd kink of the window, which the
+    # coarse scan reads.  A coarse slack in (0, 2E] says nothing of the
+    # kinks before it, so the bracket stays open there and theta is the
+    # first crossing, at 0.25
+    a = np.repeat([0.0, 0.25, 0.5, 0.75, 1.0], [9, 22, 11, 4, 3])
+    kinks, slack, err = all_kink_slacks(a, 0.05, 18)
+    at = dict(zip(kinks.tolist(), slack.tolist()))
+    assert at[0.25] <= 0.0 < at[0.45] <= 2.0 * err
+    theta, wrapped = _check_against_all_kinks(a, 18, 0.05)
+    assert not wrapped and 0.2 < theta < 0.25
+
+
+def test_clip_threshold_leaves_out_nan_kinks():
+    # NaN entries make E NaN, so every kink is in the window; their kinks
+    # sort after all others in the reference, and are left out of the scan
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        n = int(rng.choice([3, 40, 200]))
+        a = np.abs(rng.standard_normal(n))
+        a[rng.random(n) < 0.2] = np.nan
+        K = int(rng.integers(1, n + 1))
+        mu = float(rng.choice([1.0, 0.3, 0.05]))
+        theta_ref, wrapped = clip_threshold_all_kinks(a, mu, K)
+        assert prox._clip_threshold(a, mu, K) == (0.0 if wrapped else theta_ref), (a.tolist(), K, mu)
 
 
 @pytest.mark.parametrize(
