@@ -23,15 +23,6 @@ from .maps import rpr_map
 from .retrieval import _check_instance_args, generate_instance, spectral_init, success
 from .solver import SolverConfig, SolverError, solve, write_csv
 
-__all__ = (
-    "SweepConfig",
-    "SweepResult",
-    "seeded_problem",
-    "run_sweep",
-    "emit_outputs",
-    "sweep_config_from_dict",
-)
-
 SUMMARY_COLUMNS = (
     "d", "n", "n_over_d", "p_fail", "s", "loss", "params",
     "success_rate", "mean_rel_err", "mean_seconds", "mean_iters",

@@ -32,9 +32,6 @@ from .prox import (
     topk_value,
 )
 
-__all__ = ("DcLoss", "LOSS_SPECS", "MU_MAX", "loss_from_spec", "loss_label",
-           "make_loss", "spec_params", "surrogate_at_residual")
-
 REQUIRED = None
 
 # The loss-spec schema, per loss name: every key a spec may carry, with its

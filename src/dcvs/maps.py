@@ -16,11 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = (
-    "SmoothMap",
-    "rpr_map",
-)
-
 
 @dataclass(frozen=True)
 class SmoothMap:

@@ -11,8 +11,6 @@ import math
 
 import numpy as np
 
-__all__ = ("brute_prox_nd", "fd_grad", "check_descent")
-
 # grid points scanned per chunk: a chunk's arrays (256 KB each at dim 1)
 # stay in a core's L2 cache, where million-point chunks ran from memory
 _CHUNK = 32_768

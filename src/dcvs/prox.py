@@ -12,17 +12,6 @@ rejects a non-positive or NaN scale and a ``K`` outside ``[0, z.size]``.
 
 import numpy as np
 
-__all__ = (
-    "prox_scaled_abs",
-    "huber_value",
-    "mcp_value",
-    "prox_huber",
-    "prox_capped_complement",
-    "prox_topk",
-    "topk_value",
-    "moreau_value_and_grad",
-)
-
 _EPS = float(np.finfo(float).eps)
 
 # _clip_threshold brackets the first crossing of a window of more kinks

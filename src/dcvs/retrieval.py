@@ -16,14 +16,6 @@ import numpy as np
 from .losses import _number
 from .maps import _measurements
 
-__all__ = (
-    "Instance",
-    "generate_instance",
-    "spectral_init",
-    "success",
-    "kappa_fn_for_loss",
-)
-
 OUTLIER_KINDS = ("cauchy", "uniform")
 
 

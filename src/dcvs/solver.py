@@ -16,18 +16,6 @@ import numpy as np
 
 from .losses import MU_MAX, _number, surrogate_at_residual
 
-__all__ = (
-    "SolverConfig",
-    "RunRecord",
-    "SolverError",
-    "mu_schedule",
-    "surrogate_oracle",
-    "backtrack",
-    "solve",
-    "write_csv",
-    "write_trace",
-)
-
 # Armijo shrinkages per step before a solve gives up loudly.
 MAX_BACKTRACKS = 200
 

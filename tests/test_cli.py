@@ -1,4 +1,7 @@
+import inspect
 import json
+import pydoc
+import re
 
 import pytest
 from helpers import BAD_LOSS_SPECS
@@ -105,3 +108,17 @@ def test_sweep_requires_output_dir(tmp_path, capsys):
         main(["sweep", "--config", str(cfg_path)])
     assert exc.value.code == 2
     assert "--out" in capsys.readouterr().err
+
+
+def test_package_declares_its_public_names_once():
+    # dcvs.__all__ is the package's one declared surface: star imports bind
+    # it, and pydoc documents only the imported names it lists
+    public = {name for name, value in vars(dcvs).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert sorted(dcvs.__all__) == sorted(public)
+    namespace = {}
+    exec("from dcvs import *", namespace)
+    assert set(namespace) - {"__builtins__"} == public
+    doc = pydoc.render_doc(dcvs, renderer=pydoc.plaintext)
+    assert [name for name in dcvs.__all__
+            if not re.search(rf"^ +(class )?{name}\(", doc, re.M)] == []
