@@ -1,8 +1,13 @@
 """Command-line driver: single seeded solves and sweeps."""
 
 import argparse
+import ctypes
+import glob
 import json
+import os
 import sys
+
+import numpy as np
 
 from . import bench
 from .losses import loss_from_spec, loss_label
@@ -86,8 +91,29 @@ def build_parser():
     return parser
 
 
+def _pin_blas_threads():
+    """Run numpy's bundled OpenBLAS on one thread, as the tests,
+    ``tools/yardstick.py`` and the benchmark do: its products differ in
+    their last bits between thread counts, so a solve's trajectory would
+    depend on the core count.  Sweep workers forked after this inherit
+    the setting, and those that start a new interpreter read it from
+    ``OPENBLAS_NUM_THREADS``.  Without that library or its setter, warn
+    once and run as is."""
+    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs",
+                                  "libscipy_openblas64_-*.so"))
+    try:
+        set_threads = ctypes.CDLL(libs[0]).scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        print("dcvs: warning: numpy's bundled OpenBLAS was not found, so results "
+              "depend on the BLAS thread count", file=sys.stderr)
+    else:
+        set_threads(1)
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    _pin_blas_threads()
     return args.func(args)
 
 

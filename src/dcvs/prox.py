@@ -65,7 +65,9 @@ def huber_value(t, lam, beta):
     linear ``lam*|t| - beta*lam^2/2`` beyond.
 
     This is also the Moreau envelope of ``lam * |.|`` at scale ``beta``,
-    and the concave-correction part ``g`` of the MCP decomposition.
+    and the concave-correction part ``g`` of the MCP decomposition: the
+    MCP is ``lam*|t| - huber_value(t, lam, beta)``, the value of
+    ``make_loss("mcp", ...).phi_value``.
     """
     if not (lam > 0 and beta > 0):
         _require_positive(lam=lam, beta=beta)
@@ -77,18 +79,6 @@ def huber_value(t, lam, beta):
     square = t * t
     square /= 2.0 * beta
     return np.where(quadratic, square, a)
-
-
-def mcp_value(t, lam, beta):
-    """Minimax concave penalty: ``lam*|t| - t^2/(2*beta)`` for
-    ``|t| <= beta*lam``, constant ``beta*lam^2/2`` beyond.
-
-    Satisfies ``mcp_value + huber_value == lam*|t|`` pointwise.
-    """
-    _require_positive(lam=lam, beta=beta)
-    t = np.asarray(t, dtype=float)
-    a = np.abs(t)
-    return np.where(a <= beta * lam, lam * a - t * t / (2.0 * beta), beta * lam**2 / 2.0)
 
 
 def prox_huber(t, lam, beta, mu):

@@ -211,9 +211,9 @@ def success(x, x_star, threshold=1e-3):
     return float(rel), bool(rel < threshold)
 
 
-def _kappa_fn(A, b, lam, L_g):
+def kappa_fn_for_loss(A, b, loss):
     """``mu -> kappa_mu``, the global curvature bound for the smoothed
-    composite on a quadratic residual instance:
+    composite of a catalog loss on a quadratic residual instance:
 
         kappa_mu = 2*L_g*sqrt(sum_i ||a_i||^4) + 6*lam*sum_i ||a_i||^2
                    + 4*sum_i(||a_i||^2 |b_i|) / mu
@@ -226,10 +226,12 @@ def _kappa_fn(A, b, lam, L_g):
     single-measurement constant instead is valid only when each
     measurement touches its own coordinate, and gradient-descent
     trajectories do exceed that smaller value on Gaussian instances.
-    ``lam`` is the MCP weight and is 1 for the other losses.  The mu-free
-    terms are read from ``A`` once: the closure returns ``head + tail /
-    mu``.
+    ``L_g`` is ``loss.L_g`` and ``lam`` the MCP weight
+    ``loss.params["lam"]``, 1 for the other losses; both are checked, as a
+    :class:`dcvs.losses.DcLoss` may be built with any.  The mu-free terms
+    are read from ``A`` once: the closure returns ``head + tail / mu``.
     """
+    lam, L_g = loss.params.get("lam", 1.0), loss.L_g
     if not lam > 0:
         raise ValueError("lam must be positive")
     if not L_g >= 0:
@@ -245,8 +247,3 @@ def _kappa_fn(A, b, lam, L_g):
         return head + tail / mu
 
     return kappa
-
-
-def kappa_fn_for_loss(A, b, loss):
-    """Per-scale curvature bound ``mu -> kappa_mu`` for a catalog loss."""
-    return _kappa_fn(A, b, loss.params.get("lam", 1.0), loss.L_g)

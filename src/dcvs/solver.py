@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .losses import MU_MAX, _number, surrogate_at_residual
+from .maps import _vector
 
 # Armijo shrinkages per step before a solve gives up loudly.
 MAX_BACKTRACKS = 200
@@ -209,9 +210,7 @@ def solve(loss, smooth_map, x1, config=None):
     only.  A step costs two matvecs: ``jt_vec`` and ``A·grad``.
     """
     cfg = config if config is not None else SolverConfig()
-    x = np.asarray(x1, dtype=float).copy()
-    if x.shape != (smooth_map.in_dim,):
-        raise ValueError(f"x1 must have shape ({smooth_map.in_dim},), got {x.shape}")
+    x = _vector("x1", x1, smooth_map.in_dim).copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("x1 must be finite")
     if loss.n != smooth_map.out_dim:

@@ -1,9 +1,14 @@
 import inspect
 import json
+import os
 import pydoc
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from conftest import BLAS_THREAD_VARS
 from helpers import BAD_LOSS_SPECS
 
 import dcvs.cli
@@ -31,6 +36,35 @@ def test_solve_command(tmp_path, capsys):
     assert "rel_error=" in out
     header = trace_path.read_text(encoding="utf-8").split("\n", 1)[0]
     assert header == "k,mu,F_k,grad_norm,gamma,backtracks,true_cost,roundoff"
+
+
+def test_solve_pins_blas_to_one_thread(tmp_path):
+    # unpinned, numpy's OpenBLAS runs one thread per core, and on two
+    # cores this solve took 89 steps against the pinned 87
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                      env.get("PYTHONPATH")]))
+    runs = []
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dcvs.cli", "solve", "--d", "100", "--n", "1000",
+             "--p-fail", "0.4", "--seed", "3", "--loss",
+             json.dumps({"name": "capped_l1", "beta": 1000}), "--time-cap", "0"],
+            cwd=tmp_path, env={**env, **threads}, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        first, second = proc.stdout.split("\n")[:2]
+        # the wall time differs between runs
+        runs.append((first.split(" wall=")[0], second))
+    assert runs[0] == runs[1]
+
+
+def test_missing_openblas_warns_and_runs(monkeypatch, capsys):
+    monkeypatch.setattr(dcvs.cli.glob, "glob", lambda pattern: [])
+    assert main(["solve", "--d", "5", "--n", "20", "--loss", json.dumps({"name": "l1"})]) == 0
+    out, err = capsys.readouterr()
+    assert "rel_error=" in out
+    assert err.count("\n") == 1 and "results depend on the BLAS thread count" in err
 
 
 def test_solve_trace_is_the_seeded_in_process_solve(tmp_path):

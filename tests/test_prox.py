@@ -35,20 +35,27 @@ def test_huber_values():
     assert prox.huber_value(3.0, 1.0, 1.0) == pytest.approx(2.5)
 
 
-def test_mcp_values():
-    assert prox.mcp_value(0.0, 1.0, 1.0) == 0.0
-    assert prox.mcp_value(1.0, 1.0, 1.0) == pytest.approx(0.5)
-    assert prox.mcp_value(10.0, 2.0, 1.0) == pytest.approx(2.0)
+def _mcp_at(t, lam, beta):
+    """The MCP at one residual ``t``: the loss's ``phi_value``."""
+    return make_loss("mcp", 1, lam=lam, beta=beta).phi_value(np.array([t]))
+
+
+def test_mcp_phi_values():
+    assert _mcp_at(0.0, 1.0, 1.0) == 0.0
+    assert _mcp_at(1.0, 1.0, 1.0) == pytest.approx(0.5)
+    assert _mcp_at(10.0, 2.0, 1.0) == pytest.approx(2.0)
 
 
 def test_mcp_huber_decomposition():
+    # lam*|t| - huber is the MCP's closed form, at lam != 1 too
     rng = np.random.default_rng(0)
     for _ in range(50):
         t = rng.uniform(-8, 8)
         lam = rng.uniform(0.2, 3.0)
         beta = rng.uniform(0.2, 3.0)
-        total = prox.mcp_value(t, lam, beta) + prox.huber_value(t, lam, beta)
-        assert total == pytest.approx(lam * abs(t), rel=1e-12)
+        mcp = lam * abs(t) - t * t / (2 * beta) if abs(t) <= beta * lam else beta * lam**2 / 2
+        assert lam * abs(t) - prox.huber_value(t, lam, beta) == pytest.approx(
+            mcp, abs=1e-12 * lam * abs(t))
 
 
 def test_prox_huber_values():
@@ -535,4 +542,4 @@ def test_scalar_lipschitz_property():
         beta = float(rng.uniform(0.2, 2.0))
         s, t = rng.uniform(-6, 6, 2)
         assert abs(prox.huber_value(s, lam, beta) - prox.huber_value(t, lam, beta)) <= lam * abs(s - t) + 1e-12
-        assert abs(prox.mcp_value(s, lam, beta) - prox.mcp_value(t, lam, beta)) <= lam * abs(s - t) + 1e-12
+        assert abs(_mcp_at(s, lam, beta) - _mcp_at(t, lam, beta)) <= lam * abs(s - t) + 1e-12

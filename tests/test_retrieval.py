@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -17,7 +18,7 @@ from dcvs import (
     surrogate_oracle,
 )
 from dcvs.oracle import check_descent
-from dcvs.retrieval import _gemm_panels, _kappa_fn
+from dcvs.retrieval import _gemm_panels
 
 
 def test_generate_instance_inlier_structure():
@@ -214,20 +215,25 @@ def test_success_examples():
 
 
 def test_kappa_mu_values():
-    assert _kappa_fn(np.array([[1.0]]), np.array([1.0]), 1.0, 1.0)(0.5) == pytest.approx(16.0)
-    assert _kappa_fn(np.array([[1.0]]), np.array([0.0]), 1.0, 0.0)(1.0) == pytest.approx(6.0)
+    # at n = 1 the mcp with lam = 1 has L_g = 1 and the l1 has L_g = 0
+    mcp, l1 = make_loss("mcp", 1, beta=1.0), make_loss("l1", 1)
+    assert kappa_fn_for_loss(np.array([[1.0]]), np.array([1.0]), mcp)(0.5) == pytest.approx(16.0)
+    assert kappa_fn_for_loss(np.array([[1.0]]), np.array([0.0]), l1)(1.0) == pytest.approx(6.0)
     # the pair is checked as rpr_map checks it, not summed over silently
     with pytest.raises(ValueError, match="^b must be"):
-        _kappa_fn(np.ones((3, 2)), np.ones(2), 1.0, 1.0)(0.5)
+        kappa_fn_for_loss(np.ones((3, 2)), np.ones(2), mcp)(0.5)
     with pytest.raises(ValueError, match="^A must be"):
-        _kappa_fn(np.ones((0, 2)), np.ones(0), 1.0, 1.0)(0.5)
+        kappa_fn_for_loss(np.ones((0, 2)), np.ones(0), mcp)(0.5)
     # a NaN or nonpositive lam or mu, or a NaN L_g, is no bound, and an
-    # infinite measurement gave an infinite one
-    for lam, L_g, mu, b, name in ((1.0, np.nan, 0.5, 1.0, "L_g"), (1.0, 1.0, 0.0, 1.0, "mu"),
-                                  (1.0, 1.0, np.nan, 1.0, "mu"), (0.0, 1.0, 0.5, 1.0, "lam"),
-                                  (1.0, 1.0, 0.5, np.inf, "b")):
+    # infinite measurement gave an infinite one; DcLoss takes any params
+    # and L_g, so the bound checks them itself
+    nan_L_g = dataclasses.replace(mcp, L_g=np.nan)
+    zero_lam = dataclasses.replace(mcp, params={"lam": 0.0, "beta": 1.0})
+    for loss, mu, b, name in ((nan_L_g, 0.5, 1.0, "L_g"), (mcp, 0.0, 1.0, "mu"),
+                              (mcp, np.nan, 1.0, "mu"), (zero_lam, 0.5, 1.0, "lam"),
+                              (mcp, 0.5, np.inf, "b")):
         with pytest.raises(ValueError, match=f"^{name} must"):
-            _kappa_fn(np.array([[1.0]]), np.array([b]), lam, L_g)(mu)
+            kappa_fn_for_loss(np.array([[1.0]]), np.array([b]), loss)(mu)
 
 
 def test_kappa_mu_affine_in_inverse_mu():
@@ -237,7 +243,7 @@ def test_kappa_mu_affine_in_inverse_mu():
     row_sq = np.sum(A * A, axis=1)
     m2 = (row_sq * np.abs(b)).sum()
     mu = 0.4
-    kappa = _kappa_fn(A, b, 1.0, 1.0)
+    kappa = kappa_fn_for_loss(A, b, dataclasses.replace(make_loss("l1", 10), L_g=1.0))
     diff = kappa(mu / 2) - kappa(mu)
     assert diff == pytest.approx(4.0 * m2 / mu)
 

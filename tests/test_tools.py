@@ -34,6 +34,16 @@ def test_yardstick_block_is_repeatable(tmp_path):
         assert runs[1] == runs[0]
 
 
+def test_yardstick_keeps_the_solve_bits(tmp_path):
+    # the hash lines of two blocks: like the panel edges of
+    # test_spectral_form_panels_keep_the_single_product_bits, they belong
+    # to OpenBLAS's SkylakeX core on one thread (the count yardstick.py
+    # pins), and a change declared to move the numbers updates them
+    for args, digest in ((("--seeds", 4), "632745d83b099f06"),
+                         (("--d", 400, "--n", 4000, "--seeds", 1), "8dce35a6135ed729")):
+        assert run_tool("yardstick.py", *args, cwd=tmp_path)[-1] == f"sha256 {digest}"
+
+
 def test_yardstick_rejects_an_empty_block(tmp_path):
     proc = subprocess.run([sys.executable, str(TOOLS / "yardstick.py"), "--seeds", "0"],
                           cwd=tmp_path, capture_output=True, text=True, timeout=300)
